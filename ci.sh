@@ -99,6 +99,22 @@ sed 's/$/\r/' "$trace_dir/a.mtx" > "$trace_dir/a_crlf.mtx"
 ./target/release/tsv convert "$trace_dir/a_crlf.mtx" "$trace_dir/b.mtx" >/dev/null
 cmp "$trace_dir/a.mtx" "$trace_dir/b.mtx"
 
+# Split set-up smoke: a file of 870 k entries crosses the set-up split
+# gate (`tsv_simt::SETUP_SPLIT`), so on a multi-core runner its ingest,
+# CSR build and tile conversion run in parts on host threads. `tsv info`
+# and a multiply on the file must print the lines they print on the
+# generator spec, the multiply's wall time aside.
+./target/release/tsv convert gen:banded:32768:16 "$trace_dir/split.mtx" >/dev/null
+for run in "info" "spmspv --sparsity 0.1"; do
+    read -r cmd flags <<<"$run"
+    from_gen=$(./target/release/tsv "$cmd" gen:banded:32768:16 $flags | sed 's/^time: [0-9.]* ms *//')
+    from_file=$(./target/release/tsv "$cmd" "$trace_dir/split.mtx" $flags | sed 's/^time: [0-9.]* ms *//')
+    if [ "$from_file" != "$from_gen" ]; then
+        echo "tsv $run: the file printed '$from_file', the spec '$from_gen'" >&2
+        exit 1
+    fi
+done
+
 # Race-sanitizer gate. First the sanitizer's own test surface in release
 # mode (the shadow log makes sanitized runs slow in debug): the detector
 # unit tests, the schedule-permutation harness, and the engine-level

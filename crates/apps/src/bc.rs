@@ -6,9 +6,9 @@
 //! betweenness uses every vertex as a source; `betweenness` takes a
 //! source list so callers can sample (the standard approximation).
 
+use tsv_baselines::CHUNK_THREADS;
 use tsv_core::bfs::{tile_bfs_with_workspace, BfsOptions, BfsWorkspace, TileBfsGraph};
 use tsv_core::exec::ExecCtx;
-use tsv_simt::host_threads;
 use tsv_sparse::{CsrMatrix, SparseError};
 
 /// Computes (optionally sampled) betweenness centrality of an undirected
@@ -39,10 +39,10 @@ pub fn betweenness(a: &CsrMatrix<f64>, sources: &[usize]) -> Result<Vec<f64>, Sp
     // over the chunks. Each chunk amortizes one BFS workspace over its
     // share instead of allocating frontiers per source, and calls the
     // TileBFS driver on the shared `g` directly instead of owning an
-    // engine. The chunks are one per hardware thread, which fixes the
-    // order the floating-point partials are summed in.
+    // engine. There are `CHUNK_THREADS` chunks, on any host, which fixes
+    // the order the floating-point partials are summed in.
     let ctx = ExecCtx::default();
-    let chunk = sources.len().div_ceil(host_threads()).max(1);
+    let chunk = sources.len().div_ceil(CHUNK_THREADS).max(1);
     let partials: Vec<Vec<f64>> = sources
         .chunks(chunk)
         .map(|part| {
@@ -243,6 +243,21 @@ mod tests {
         for (v, (p, b)) in plain.iter().zip(&batched).enumerate() {
             assert!((p - b).abs() < 1e-9, "vertex {v}: {p} vs {b}");
         }
+    }
+
+    #[test]
+    fn scores_are_the_same_bits_on_every_host() {
+        // `CHUNK_THREADS`, not the host's core count, cuts the sources into
+        // chunks, which fixes the order the partial scores are summed in.
+        let a = tsv_sparse::gen::geometric_graph(300, 4.5, 7).to_csr();
+        let sources: Vec<usize> = (0..80).map(|i| (i * 3) % 300).collect();
+        let bc = betweenness(&a, &sources).unwrap();
+        let hash = bc.iter().fold(0u64, |h, v| h.rotate_left(7) ^ v.to_bits());
+        let max = bc.iter().copied().fold(0.0f64, f64::max);
+        assert_eq!(
+            (hash, max.to_bits()),
+            (0x7759_adf3_47cd_bc89, 0x40b5_d6c6_1861_8618)
+        );
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //! the merge revisits them — roughly 3× the traffic of the tile kernels
 //! per useful flop, with no O(1) empty-region skipping.
 
-use tsv_simt::host_threads;
+use crate::CHUNK_THREADS;
 use tsv_simt::stats::KernelStats;
 use tsv_sparse::{CscMatrix, SparseError, SparseVector};
 
-/// Number of row-space buckets per hardware thread (the CombBLAS heuristic
+/// Number of row-space buckets per thread (the CombBLAS heuristic
 /// of a few buckets per core keeps the merge balanced).
 const BUCKETS_PER_THREAD: usize = 4;
 
@@ -40,13 +40,13 @@ pub fn bucket_spmspv(
         return Ok((SparseVector::zeros(n), KernelStats::default()));
     }
 
-    let n_buckets = host_threads() * BUCKETS_PER_THREAD;
+    let n_buckets = CHUNK_THREADS * BUCKETS_PER_THREAD;
     let bucket_len = n.div_ceil(n_buckets);
 
-    // Phase 1: scatter, one chunk of the frontier per hardware thread; each
+    // Phase 1: scatter, one chunk of the frontier per thread; each
     // chunk fills its private bucket lists, which are then concatenated per
     // bucket.
-    let chunk = x.nnz().div_ceil(host_threads()).max(1);
+    let chunk = x.nnz().div_ceil(CHUNK_THREADS).max(1);
     let entries: Vec<(usize, f64)> = x.iter().collect();
     type ScatterPartial = (Vec<Vec<(u32, f64)>>, KernelStats);
     let partials: Vec<ScatterPartial> = entries
@@ -154,6 +154,27 @@ mod tests {
         let (y, _) = bucket_spmspv(&a, &x).unwrap();
         let expect = spmspv_col(&a, &x).unwrap();
         assert!(y.max_abs_diff(&expect) < 1e-9);
+    }
+
+    #[test]
+    fn work_counters_are_the_same_on_every_host() {
+        // `CHUNK_THREADS`, not the host's core count, sizes the buckets and
+        // the scatter chunks, so the warp count and traffic are these
+        // literals on any host.
+        let a = rmat(RmatConfig::new(9, 8), 5).to_csr().to_csc();
+        let x = random_sparse_vector(a.ncols(), 0.05, 2);
+        let (_, stats) = bucket_spmspv(&a, &x).unwrap();
+        let pinned = KernelStats {
+            gmem_read_bytes: 5584,
+            gmem_write_bytes: 5920,
+            gmem_scattered_bytes: 4688,
+            atomics: 224,
+            flops: 448,
+            bitops: 0,
+            warps: 10,
+            lane_steps: 0,
+        };
+        assert_eq!(stats, pinned);
     }
 
     #[test]

@@ -13,8 +13,8 @@ use crate::bfs_common::{
     gather, validate_bfs_input, vertex_chunks, BaselineBfsResult, BaselineIteration, Bitmap,
     VisitedSet,
 };
+use crate::CHUNK_THREADS;
 use std::time::Instant;
-use tsv_simt::host_threads;
 use tsv_simt::stats::KernelStats;
 use tsv_sparse::{CsrMatrix, SparseError};
 
@@ -114,7 +114,7 @@ fn binned_top_down(
     let mut next = Vec::new();
 
     // Small bin: coarse chunks, one task handles many low-degree vertices.
-    let chunk = small.len().div_ceil(host_threads()).max(64);
+    let chunk = small.len().div_ceil(CHUNK_THREADS).max(64);
     let (v, s) = expand_chunks(a, &small, chunk, visited);
     next.extend(v);
     stats += s;
@@ -182,7 +182,7 @@ fn bottom_up_step(
     visited: &VisitedSet,
 ) -> (Vec<u32>, KernelStats, &'static str) {
     let n = a.nrows();
-    let chunk = (n / (host_threads() * 8)).max(64);
+    let chunk = (n / (CHUNK_THREADS * 8)).max(64);
     let (next, stats) = gather(vertex_chunks(n, chunk).map(|part| {
         let mut st = KernelStats::default();
         st.warps += 1;

@@ -23,8 +23,8 @@ use crate::bfs_common::{
     gather, validate_bfs_input, vertex_chunks, BaselineBfsResult, BaselineIteration, Bitmap,
     VisitedSet,
 };
+use crate::CHUNK_THREADS;
 use std::time::Instant;
-use tsv_simt::host_threads;
 use tsv_simt::stats::KernelStats;
 use tsv_sparse::{CsrMatrix, SparseError};
 
@@ -112,7 +112,7 @@ fn queue_push_step(
     frontier: &[u32],
     visited: &VisitedSet,
 ) -> (Vec<u32>, KernelStats) {
-    let chunk = frontier.len().div_ceil(host_threads()).max(16);
+    let chunk = frontier.len().div_ceil(CHUNK_THREADS).max(16);
     gather(frontier.chunks(chunk).map(|part| {
         let mut stats = KernelStats::default();
         stats.warps += 1;
@@ -140,7 +140,7 @@ fn dense_push_step(
     visited: &VisitedSet,
 ) -> (Vec<u32>, KernelStats) {
     let n = a.nrows();
-    let chunk = (n / (host_threads() * 8)).max(64);
+    let chunk = (n / (CHUNK_THREADS * 8)).max(64);
     gather(vertex_chunks(n, chunk).map(|part| {
         let mut stats = KernelStats::default();
         stats.warps += 1;
@@ -172,7 +172,7 @@ fn pull_step(
     visited: &VisitedSet,
 ) -> (Vec<u32>, KernelStats) {
     let n = a.nrows();
-    let chunk = (n / (host_threads() * 8)).max(64);
+    let chunk = (n / (CHUNK_THREADS * 8)).max(64);
     gather(vertex_chunks(n, chunk).map(|part| {
         let mut stats = KernelStats::default();
         stats.warps += 1;

@@ -15,8 +15,8 @@ use crate::bfs_common::{
     gather, validate_bfs_input, vertex_chunks, BaselineBfsResult, BaselineIteration, Bitmap,
     VisitedSet,
 };
+use crate::CHUNK_THREADS;
 use std::time::Instant;
-use tsv_simt::host_threads;
 use tsv_simt::stats::KernelStats;
 use tsv_sparse::{CsrMatrix, SparseError};
 
@@ -96,7 +96,7 @@ fn top_down_step(
     frontier: &[u32],
     visited: &VisitedSet,
 ) -> (Vec<u32>, KernelStats, &'static str) {
-    let chunk = frontier.len().div_ceil(host_threads()).max(16);
+    let chunk = frontier.len().div_ceil(CHUNK_THREADS).max(16);
     let (next, stats) = gather(frontier.chunks(chunk).map(|part| {
         let mut stats = KernelStats::default();
         stats.warps += 1;
@@ -127,7 +127,7 @@ fn bottom_up_step(
     visited: &VisitedSet,
 ) -> (Vec<u32>, KernelStats, &'static str) {
     let n = a.nrows();
-    let chunk = (n / (host_threads() * 8)).max(64);
+    let chunk = (n / (CHUNK_THREADS * 8)).max(64);
     let (next, stats) = gather(vertex_chunks(n, chunk).map(|part| {
         let mut stats = KernelStats::default();
         stats.warps += 1;

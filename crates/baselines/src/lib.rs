@@ -28,6 +28,15 @@ pub mod gswitch;
 pub mod gunrock;
 pub mod tilespmv;
 
+/// The threads the comparators cut their work for: combblas's buckets
+/// and scatter chunks, the BFS baselines' chunk sizes and bc's source
+/// chunks (`tsv-apps`). The chunks run one after another, so the count
+/// changes no speed, only the work counters (`KernelStats::warps`) and
+/// the order bc sums its floating-point partials in. It is fixed, so that
+/// both are the same on every host; 2 is the core count of the host that
+/// recorded the committed `results/`.
+pub const CHUNK_THREADS: usize = 2;
+
 pub use bfs_common::BaselineBfsResult;
 pub use bsr::BsrMatrix;
 pub use combblas::bucket_spmspv;

@@ -26,6 +26,7 @@ use crate::tile::{BitFrontier, BitTileMatrix, TileSize};
 use std::time::{Duration, Instant};
 use tsv_simt::analyze::PlanReport;
 use tsv_simt::atomic::AtomicWords;
+use tsv_simt::setup_parts;
 use tsv_simt::stats::KernelStats;
 use tsv_simt::trace::{self, IterationInfo};
 use tsv_simt::warp::WARP_SIZE;
@@ -61,6 +62,26 @@ impl TileBfsGraph {
         nt: usize,
         extract_threshold: usize,
     ) -> Result<Self, SparseError> {
+        Self::build(a, nt, extract_threshold, setup_parts(a.nnz()))
+    }
+
+    /// [`from_csr`](Self::from_csr) with the bit tiles converted in
+    /// `parts` bands of row tiles. Public only so the workspace's tests can
+    /// run the split at any part count.
+    #[doc(hidden)]
+    pub fn from_csr_in_parts<T: Copy + Sync>(
+        a: &CsrMatrix<T>,
+        parts: usize,
+    ) -> Result<Self, SparseError> {
+        Self::build(a, TileSize::for_bfs(a.nrows()).nt().max(32), 2, parts)
+    }
+
+    fn build<T: Copy + Sync>(
+        a: &CsrMatrix<T>,
+        nt: usize,
+        extract_threshold: usize,
+        parts: usize,
+    ) -> Result<Self, SparseError> {
         if a.nrows() != a.ncols() {
             return Err(SparseError::NotSquare {
                 nrows: a.nrows(),
@@ -71,9 +92,9 @@ impl TileBfsGraph {
         // asymmetric input pays for the transpose.
         let symmetric = a.pattern_symmetric();
         let bit = if symmetric {
-            BitTileMatrix::from_csr(a, nt, extract_threshold)?
+            BitTileMatrix::from_csr_in_parts(a, nt, extract_threshold, parts)?
         } else {
-            BitTileMatrix::from_csr(&a.transpose(), nt, extract_threshold)?
+            BitTileMatrix::from_csr_in_parts(&a.transpose(), nt, extract_threshold, parts)?
         };
         let segments = push_csr::csr_segments(&bit);
         Ok(Self {

@@ -25,7 +25,10 @@
 //! edge list traversed by a separate per-iteration pass (the hybrid scheme
 //! that the paper delegates to GSwitch).
 
+use super::bitvec::iter_bits;
 use super::layout::{row_tile_rows, BandCounter};
+use tsv_simt::{run_parts, setup_parts};
+use tsv_sparse::csr::row_bands;
 use tsv_sparse::{CsrMatrix, SparseError};
 
 /// Which traversal orientation of the bit tiles to read.
@@ -73,12 +76,23 @@ pub struct BitTileMatrix {
 /// stored tile of the current row tile.
 #[derive(Debug, Clone, Copy)]
 struct BitDest {
-    /// One past the CSR row word being filled.
+    /// One past the CSR row word being filled, in the band's words.
     word_end: usize,
     /// Local row of that word (`usize::MAX` before the first entry).
     row: usize,
-    /// The tile's index in the CSC orientation.
-    csc: usize,
+}
+
+/// Pass 1 of [`BitTileMatrix::from_csr`] over one band of row tiles: the
+/// band's stored tiles, with every offset counted from the band's start.
+#[derive(Debug, Default)]
+struct BitBand {
+    /// Stored tiles before each row tile's end, after a leading 0.
+    csr_ptr: Vec<usize>,
+    csr_coltile: Vec<u32>,
+    /// Row words before each tile's end, after a leading 0.
+    csr_word_ptr: Vec<usize>,
+    csr_occ: Vec<u64>,
+    tiled_nnz: usize,
 }
 
 impl BitTileMatrix {
@@ -89,14 +103,28 @@ impl BitTileMatrix {
     /// ([`crate::tile::TileSize::for_bfs`]).
     ///
     /// Like [`crate::tile::TileMatrix::from_csr`], the build makes two
-    /// sequential passes over the row tiles: pass 1 counts each tile's
-    /// entries and occupied rows, which fixes every offset of both
-    /// orientations and of the extracted edge list; pass 2 ORs each entry
-    /// straight into its final words.
-    pub fn from_csr<T: Copy>(
+    /// passes over bands of row tiles, on host threads when the matrix
+    /// holds [`SETUP_SPLIT`](tsv_simt::SETUP_SPLIT) entries or more: pass
+    /// 1 counts each tile's entries and occupied rows, which fixes every
+    /// offset of the CSR orientation; pass 2 ORs each entry into its final
+    /// CSR row word and lists the extracted ones. The CSC orientation is
+    /// then filled in ranges of its tiles from the CSR words, and the
+    /// extracted edge list from the lists. Nothing depends on the band
+    /// count.
+    pub fn from_csr<T: Copy + Sync>(
         a: &CsrMatrix<T>,
         nt: usize,
         extract_threshold: usize,
+    ) -> Result<Self, SparseError> {
+        Self::from_csr_in_parts(a, nt, extract_threshold, setup_parts(a.nnz()))
+    }
+
+    /// [`from_csr`](Self::from_csr) in `parts` bands of row tiles.
+    pub(crate) fn from_csr_in_parts<T: Copy + Sync>(
+        a: &CsrMatrix<T>,
+        nt: usize,
+        extract_threshold: usize,
+        parts: usize,
     ) -> Result<Self, SparseError> {
         if a.nrows() != a.ncols() {
             return Err(SparseError::NotSquare {
@@ -107,117 +135,117 @@ impl BitTileMatrix {
         assert!(nt == 32 || nt == 64, "bit tiles require nt of 32 or 64");
         let n = a.nrows();
         let n_tiles = n.div_ceil(nt);
+        let bounds = row_bands(a.row_ptr(), parts, nt);
 
-        // Pass 1 (count): per row tile, count each column tile's entries
-        // and mark its occupied rows. A surviving tile gets its CSR slot,
-        // its packed row words and a place in its column tile's CSC list.
-        // When a row tile has extracted tiles, its extracted entries are
-        // then counted per source column.
-        let shift = nt.trailing_zeros();
-        let mut counter = BandCounter::new(n_tiles);
-        let mut occ = vec![0u64; n_tiles];
+        // Pass 1 (count), band by band, then the bands' tiles in order.
+        let bands = run_parts(bounds.windows(2), |w| {
+            count_bit_band(a, nt, extract_threshold, w[0]..w[1])
+        });
+        // Every array is allocated at its exact length.
+        let stored: usize = bands.iter().map(|b| b.csr_coltile.len()).sum();
         let mut csr_ptr = Vec::with_capacity(n_tiles + 1);
+        let mut csr_word_ptr = Vec::with_capacity(stored + 1);
         csr_ptr.push(0);
-        let mut csr_coltile = Vec::new();
-        let mut csr_word_ptr = vec![0usize];
-        let mut csr_occ = Vec::new();
+        csr_word_ptr.push(0);
+        let mut csr_coltile = Vec::with_capacity(stored);
+        let mut csr_occ = Vec::with_capacity(stored);
+        let mut tiled_nnz = 0;
+        for band in &bands {
+            let (tiles, words) = (csr_coltile.len(), *csr_word_ptr.last().expect("leading 0"));
+            csr_ptr.extend(band.csr_ptr[1..].iter().map(|&p| p + tiles));
+            csr_word_ptr.extend(band.csr_word_ptr[1..].iter().map(|&p| p + words));
+            csr_coltile.extend_from_slice(&band.csr_coltile);
+            csr_occ.extend_from_slice(&band.csr_occ);
+            tiled_nnz += band.tiled_nnz;
+        }
+        drop(bands);
+        let num_tiles = csr_coltile.len();
+
+        // Pass 2 (fill): each band ORs its entries into its own slice of
+        // the CSR row words, and lists its extracted `(row, column)`
+        // entries by ascending row.
+        let mut csr_words = vec![0u64; *csr_word_ptr.last().expect("leading 0")];
+        let mut work = Vec::with_capacity(bounds.len() - 1);
+        let mut rest = &mut csr_words[..];
+        for w in bounds.windows(2) {
+            let words = csr_word_ptr[csr_ptr[w[1]]] - csr_word_ptr[csr_ptr[w[0]]];
+            let (band, tail) = rest.split_at_mut(words);
+            rest = tail;
+            work.push((w[0]..w[1], band));
+        }
+        let (ptr, word_ptr, coltile) = (&csr_ptr, &csr_word_ptr, &csr_coltile);
+        let extras = run_parts(work, |(rts, words)| {
+            fill_bit_band(a, nt, rts, ptr, word_ptr, coltile, words)
+        });
+
+        // The tile-level CSC index: each column tile lists its stored
+        // tiles by ascending row tile.
         let mut csc_ptr = vec![0usize; n_tiles + 1];
-        let mut extra_src_ptr = vec![0usize; n + 1];
-        let (mut tiled_nnz, mut n_words) = (0usize, 0usize);
-        for rt in 0..n_tiles {
-            let rows = row_tile_rows(rt, nt, n);
-            for r in rows.clone() {
-                let bit = 1u64 << (r - rows.start);
-                for &c in a.row(r).0 {
-                    let ct = (c >> shift) as usize;
-                    counter.add(ct);
-                    occ[ct] |= bit;
-                }
-            }
-            counter.sort();
-            let mut extracted = false;
-            for &ct in counter.tiles() {
-                let ct = ct as usize;
-                let row_occ = std::mem::take(&mut occ[ct]);
-                if counter.count(ct) <= extract_threshold {
-                    extracted = true;
-                    continue;
-                }
-                tiled_nnz += counter.count(ct);
-                n_words += row_occ.count_ones() as usize;
-                csr_coltile.push(ct as u32);
-                csr_word_ptr.push(n_words);
-                csr_occ.push(row_occ);
-                csc_ptr[ct + 1] += 1;
-            }
-            if extracted {
-                let cols = &a.col_idx()[a.row_ptr()[rows.start]..a.row_ptr()[rows.end]];
-                counter.count_extracted(cols, shift, extract_threshold, &mut extra_src_ptr);
-            }
-            counter.clear();
-            csr_ptr.push(csr_coltile.len());
+        for &ct in &csr_coltile {
+            csc_ptr[ct as usize + 1] += 1;
         }
         for i in 0..n_tiles {
             csc_ptr[i + 1] += csc_ptr[i];
         }
-        for c in 0..n {
-            extra_src_ptr[c + 1] += extra_src_ptr[c];
-        }
-        // The tile-level arrays grew tile by tile; hold them at their
-        // length like every array pass 2 allocates.
-        csr_coltile.shrink_to_fit();
-        csr_word_ptr.shrink_to_fit();
-        csr_occ.shrink_to_fit();
-
-        // Pass 2 (fill): walk the rows again and OR each entry into its
-        // words. A tile's row words are written in row order: its word
-        // cursor advances on the first entry of each new row. CSC tiles
-        // are handed out per column tile in ascending row-tile order.
-        // `csc_ptr` and `extra_src_ptr` serve as write cursors and are
-        // shifted back afterwards.
-        let num_tiles = csr_coltile.len();
-        let mut csr_words = vec![0u64; n_words];
         let mut csc_rowtile = vec![0u32; num_tiles];
-        let mut csc_words = vec![0u64; num_tiles * nt];
-        let mut csc_occ = vec![0u64; num_tiles];
-        let mut extra_dst = vec![0u32; extra_src_ptr[n]];
-        let mut dest: Vec<Option<BitDest>> = vec![None; n_tiles];
+        // The CSR tile of each CSC tile.
+        let mut csc_tile = vec![0u32; num_tiles];
         for rt in 0..n_tiles {
-            let tiles = csr_ptr[rt]..csr_ptr[rt + 1];
-            for t in tiles.clone() {
-                let ct = csr_coltile[t] as usize;
-                let csc = csc_ptr[ct];
-                csc_ptr[ct] += 1;
-                csc_rowtile[csc] = rt as u32;
-                dest[ct] = Some(BitDest {
-                    word_end: csr_word_ptr[t],
-                    row: usize::MAX,
-                    csc,
-                });
-            }
-            for r in row_tile_rows(rt, nt, n) {
-                let lr = r - rt * nt;
-                for &c in a.row(r).0 {
-                    let lc = c as usize & (nt - 1);
-                    if let Some(d) = &mut dest[(c >> shift) as usize] {
-                        d.word_end += usize::from(d.row != lr);
-                        d.row = lr;
-                        csr_words[d.word_end - 1] |= 1u64 << lc;
-                        csc_words[d.csc * nt + lc] |= 1u64 << lr;
-                        csc_occ[d.csc] |= 1u64 << lc;
-                    } else {
-                        let k = &mut extra_src_ptr[c as usize];
-                        extra_dst[*k] = r as u32;
-                        *k += 1;
-                    }
-                }
-            }
-            for t in tiles {
-                dest[csr_coltile[t] as usize] = None;
+            for t in csr_ptr[rt]..csr_ptr[rt + 1] {
+                let slot = &mut csc_ptr[csr_coltile[t] as usize];
+                csc_rowtile[*slot] = rt as u32;
+                csc_tile[*slot] = t as u32;
+                *slot += 1;
             }
         }
         csc_ptr.copy_within(0..n_tiles, 1);
         csc_ptr[0] = 0;
+
+        // The CSC words, in ranges of CSC tiles of about equal count: each
+        // tile's column words are its CSR row words transposed.
+        let mut csc_words = vec![0u64; num_tiles * nt];
+        let mut csc_occ = vec![0u64; num_tiles];
+        let parts = bounds.len() - 1;
+        let mut work = Vec::with_capacity(parts);
+        let (mut words_rest, mut occ_rest) = (&mut csc_words[..], &mut csc_occ[..]);
+        for k in 0..parts {
+            let tiles = num_tiles * k / parts..num_tiles * (k + 1) / parts;
+            let (words, wtail) = words_rest.split_at_mut(tiles.len() * nt);
+            let (occ, otail) = occ_rest.split_at_mut(tiles.len());
+            (words_rest, occ_rest) = (wtail, otail);
+            work.push((&csc_tile[tiles], words, occ));
+        }
+        let (csr_w, csr_o) = (&csr_words, &csr_occ);
+        run_parts(work, |(tiles, words, occ)| {
+            for (i, &t) in tiles.iter().enumerate() {
+                let t = t as usize;
+                let col_words = &mut words[i * nt..][..nt];
+                let row_words = &csr_w[csr_word_ptr[t]..csr_word_ptr[t + 1]];
+                for (lr, &w) in iter_bits(csr_o[t]).zip(row_words) {
+                    occ[i] |= w;
+                    for lc in iter_bits(w) {
+                        col_words[lc] |= 1u64 << lr;
+                    }
+                }
+            }
+        });
+
+        // The extracted edge list by source column: the bands' lists
+        // arrive by ascending row, so a counting pass by column keeps rows
+        // ascending inside each column.
+        let mut extra_src_ptr = vec![0usize; n + 1];
+        for &(_, c) in extras.iter().flatten() {
+            extra_src_ptr[c as usize + 1] += 1;
+        }
+        for c in 0..n {
+            extra_src_ptr[c + 1] += extra_src_ptr[c];
+        }
+        let mut extra_dst = vec![0u32; extra_src_ptr[n]];
+        for &(r, c) in extras.iter().flatten() {
+            let k = &mut extra_src_ptr[c as usize];
+            extra_dst[*k] = r;
+            *k += 1;
+        }
         extra_src_ptr.copy_within(0..n, 1);
         extra_src_ptr[0] = 0;
 
@@ -361,6 +389,100 @@ impl BitTileMatrix {
             + self.extra_src_ptr.len() * 8
             + self.extra_dst.len() * 4
     }
+}
+
+/// Pass 1 of [`BitTileMatrix::from_csr`] over row tiles `rts`: counts
+/// each column tile's entries and marks its occupied rows, per row tile. A
+/// surviving tile gets its CSR slot and its packed row words.
+fn count_bit_band<T: Copy>(
+    a: &CsrMatrix<T>,
+    nt: usize,
+    extract_threshold: usize,
+    rts: std::ops::Range<usize>,
+) -> BitBand {
+    let n = a.nrows();
+    let n_tiles = n.div_ceil(nt);
+    let shift = nt.trailing_zeros();
+    let mut counter = BandCounter::new(n_tiles);
+    let mut occ = vec![0u64; n_tiles];
+    let mut band = BitBand {
+        csr_ptr: vec![0],
+        csr_word_ptr: vec![0],
+        ..BitBand::default()
+    };
+    let mut n_words = 0;
+    for rt in rts {
+        let rows = row_tile_rows(rt, nt, n);
+        for r in rows.clone() {
+            let bit = 1u64 << (r - rows.start);
+            for &c in a.row(r).0 {
+                let ct = (c >> shift) as usize;
+                counter.add(ct);
+                occ[ct] |= bit;
+            }
+        }
+        counter.sort();
+        for &ct in counter.tiles() {
+            let ct = ct as usize;
+            let row_occ = std::mem::take(&mut occ[ct]);
+            if counter.count(ct) <= extract_threshold {
+                continue;
+            }
+            band.tiled_nnz += counter.count(ct);
+            n_words += row_occ.count_ones() as usize;
+            band.csr_coltile.push(ct as u32);
+            band.csr_word_ptr.push(n_words);
+            band.csr_occ.push(row_occ);
+        }
+        counter.clear();
+        band.csr_ptr.push(band.csr_coltile.len());
+    }
+    band
+}
+
+/// Pass 2 of [`BitTileMatrix::from_csr`] over row tiles `rts`: ORs each
+/// tiled entry into its CSR row word in `words`, the band's share of them,
+/// and returns the extracted entries as `(row, column)` by ascending row.
+/// A tile's row words are written in row order: its word cursor advances
+/// on the first entry of each new row.
+fn fill_bit_band<T: Copy>(
+    a: &CsrMatrix<T>,
+    nt: usize,
+    rts: std::ops::Range<usize>,
+    csr_ptr: &[usize],
+    csr_word_ptr: &[usize],
+    csr_coltile: &[u32],
+    words: &mut [u64],
+) -> Vec<(u32, u32)> {
+    let shift = nt.trailing_zeros();
+    let first_word = csr_word_ptr[csr_ptr[rts.start]];
+    let mut dest: Vec<Option<BitDest>> = vec![None; csr_ptr.len() - 1];
+    let mut extra = Vec::new();
+    for rt in rts {
+        let tiles = csr_ptr[rt]..csr_ptr[rt + 1];
+        for t in tiles.clone() {
+            dest[csr_coltile[t] as usize] = Some(BitDest {
+                word_end: csr_word_ptr[t] - first_word,
+                row: usize::MAX,
+            });
+        }
+        for r in row_tile_rows(rt, nt, a.nrows()) {
+            let lr = r - rt * nt;
+            for &c in a.row(r).0 {
+                if let Some(d) = &mut dest[(c >> shift) as usize] {
+                    d.word_end += usize::from(d.row != lr);
+                    d.row = lr;
+                    words[d.word_end - 1] |= 1u64 << (c as usize & (nt - 1));
+                } else {
+                    extra.push((r as u32, c));
+                }
+            }
+        }
+        for t in tiles {
+            dest[csr_coltile[t] as usize] = None;
+        }
+    }
+    extra
 }
 
 /// Position of row `r`'s word among a packed CSR tile's words: the number of

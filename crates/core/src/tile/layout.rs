@@ -175,24 +175,6 @@ impl BandCounter {
         &self.tiles[..self.len]
     }
 
-    /// Adds, for each column `c` of `cols` (the current row tile's
-    /// entries) whose column tile (`c >> shift`) holds at most
-    /// `threshold` entries, one to `col_ptr[c + 1]`: the per-column
-    /// counts of the entries extracted to the side list.
-    pub(crate) fn count_extracted(
-        &self,
-        cols: &[u32],
-        shift: u32,
-        threshold: usize,
-        col_ptr: &mut [usize],
-    ) {
-        for &c in cols {
-            if self.count[(c >> shift) as usize] <= threshold {
-                col_ptr[c as usize + 1] += 1;
-            }
-        }
-    }
-
     /// Zeroes the counts for the next row tile.
     pub(crate) fn clear(&mut self) {
         for &ct in &self.tiles[..self.len] {

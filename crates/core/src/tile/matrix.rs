@@ -26,6 +26,8 @@
 //! pad with it, and `to_csr` drops it on reconstruction.
 
 use super::layout::{row_tile_rows, tiles_for, BandCounter, TileConfig, TileFormat};
+use tsv_simt::{run_parts, setup_parts};
+use tsv_sparse::csr::row_bands;
 use tsv_sparse::sort::counting_sort;
 use tsv_sparse::{CooMatrix, CsrMatrix, SparseError};
 
@@ -197,25 +199,50 @@ const NON_FINITE_SLOT: u32 = u32::MAX - 1;
 /// column tile of the current row tile.
 #[derive(Debug, Clone, Copy)]
 enum Dest {
-    /// The tile is extracted: entries go to the side COO matrix.
+    /// The tile is extracted: entries go to the band's side list.
     Extra,
-    /// CSR-format tile `t` whose entries start at this slot; each column's
-    /// next free entry, relative to it, is the column's cursor in
-    /// `col_next`.
+    /// CSR-format tile `t` (counted from the band's first tile) whose
+    /// entries start at this slot of the band's entries; each column's next
+    /// free entry, relative to it, is the column's cursor in `col_next`.
     Csr(usize, usize),
-    /// Base of a dense tile's `nt²` payload.
+    /// Base of a dense tile's `nt²` payload in the band's payloads.
     Dense(usize),
+}
+
+/// Pass 1 of [`TileMatrix::from_csr`] over one band of row tiles: the
+/// band's stored tiles, with every offset counted from the band's start.
+#[derive(Debug, Default)]
+struct BandTiles {
+    /// Stored tiles before each row tile's end, after a leading 0.
+    tile_row_ptr: Vec<usize>,
+    tile_col: Vec<u32>,
+    /// Tile-CSR entries before each tile's end, after a leading 0.
+    tile_ptr: Vec<usize>,
+    formats: Vec<TileFormat>,
+    tile_nnz: Vec<u32>,
+    /// Band-local dense slot, or [`CSR_SLOT`].
+    dense_slot: Vec<u32>,
+    col_ptr: Vec<u16>,
+    col_word: Vec<u64>,
+    n_dense: u32,
 }
 
 impl<T: Copy + PartialEq + Default> TileMatrix<T> {
     /// Builds the tiled format from a CSR matrix.
     ///
     /// This is the *format conversion* step whose cost Figure 11 reports.
-    /// It makes two sequential passes over the row tiles. Pass 1 counts
-    /// each tile's entries per column, which fixes its format (extracted,
-    /// CSR or dense), its column offsets and occupancy word, and its
-    /// offsets in the final arrays; pass 2 walks the rows again and writes
-    /// every entry straight into its final, column-major slot.
+    /// It makes two passes over the row tiles. Pass 1 counts each tile's
+    /// entries per column, which fixes its format (extracted, CSR or
+    /// dense), its column offsets and occupancy word, and its offsets in
+    /// the final arrays; pass 2 walks the rows again and writes every
+    /// tiled entry straight into its final, column-major slot, and lists
+    /// the extracted ones, which then fill the column-major side COO.
+    ///
+    /// Both passes run over bands of whole row tiles, which touch disjoint
+    /// tiles: a matrix of [`SETUP_SPLIT`](tsv_simt::SETUP_SPLIT) entries
+    /// or more runs in [`setup_parts`] bands on host threads, and a prefix
+    /// sum over the bands' counts places each band's tiles. The tiles do
+    /// not depend on the band count.
     ///
     /// ```
     /// use tsv_core::tile::{TileConfig, TileMatrix};
@@ -227,164 +254,133 @@ impl<T: Copy + PartialEq + Default> TileMatrix<T> {
     /// ```
     pub fn from_csr(a: &CsrMatrix<T>, config: TileConfig) -> Result<Self, SparseError>
     where
-        T: 'static,
+        T: Send + Sync + 'static,
+    {
+        Ok(Self::from_csr_in_parts(a, config, setup_parts(a.nnz())))
+    }
+
+    /// [`from_csr`](Self::from_csr) in `parts` bands of row tiles. Public
+    /// only so the workspace's tests can run the split at any part count.
+    #[doc(hidden)]
+    pub fn from_csr_in_parts(a: &CsrMatrix<T>, config: TileConfig, parts: usize) -> Self
+    where
+        T: Send + Sync + 'static,
     {
         let nt = config.tile_size.nt();
         let nrows = a.nrows();
         let ncols = a.ncols();
         let m_tiles = tiles_for(nrows, nt);
         let n_tiles = tiles_for(ncols, nt);
-        // Fill level at which the dense payload takes over.
-        let dense_nnz = ((config.dense_threshold * (nt * nt) as f64).ceil() as usize).max(1);
+        let bounds = row_bands(a.row_ptr(), parts, nt);
 
-        // Pass 1 (count): per row tile, count each column tile's entries,
-        // and each column's. The counts fix every tile's format, column
-        // offsets and occupancy word, and its offsets in the final arrays.
-        // When a row tile has extracted tiles, its extracted entries are
-        // then counted per column, which lays out the column-major side
-        // COO matrix.
-        let shift = nt.trailing_zeros();
-        let mut counter = BandCounter::new(n_tiles);
-        // Entries per column within the current row tile (at most `nt`).
-        let mut col_count = vec![0u8; n_tiles * nt];
-        let mut col_ptr = Vec::new();
-        let mut col_word = Vec::new();
+        // Pass 1 (count), band by band, then the bands' tiles in order.
+        let bands = run_parts(bounds.windows(2), |w| {
+            count_band(a, config, w[0]..w[1], n_tiles)
+        });
+        // Every array is allocated at its exact length.
+        let stored: usize = bands.iter().map(|b| b.tile_col.len()).sum();
         let mut tile_row_ptr = Vec::with_capacity(m_tiles + 1);
+        let mut tile_ptr = Vec::with_capacity(stored + 1);
         tile_row_ptr.push(0);
-        let mut tile_col = Vec::new();
-        let mut tile_ptr = vec![0usize];
-        let mut formats = Vec::new();
-        let mut tile_nnz = Vec::new();
-        let mut dense_slot = Vec::new();
-        let mut extra_col_ptr = vec![0usize; ncols + 1];
-        let (mut n_entries, mut n_dense) = (0usize, 0u32);
-        for rt in 0..m_tiles {
-            let rows = row_tile_rows(rt, nt, nrows);
-            let cols = &a.col_idx()[a.row_ptr()[rows.start]..a.row_ptr()[rows.end]];
-            for &c in cols {
-                counter.add((c >> shift) as usize);
-                col_count[c as usize] += 1;
-            }
-            counter.sort();
-            let mut extracted = false;
-            for &ct in counter.tiles() {
-                let n = counter.count(ct as usize);
-                if n <= config.extract_threshold {
-                    // Its column counts are zeroed for the next row tile.
-                    col_count[ct as usize * nt..][..nt].fill(0);
-                    extracted = true;
-                    continue;
-                }
-                tile_col.push(ct);
-                tile_nnz.push(n as u32);
-                let dense = n >= dense_nnz;
-                if dense {
-                    formats.push(TileFormat::Dense);
-                    dense_slot.push(n_dense);
-                    n_dense += 1;
+        tile_ptr.push(0);
+        let mut tile_col = Vec::with_capacity(stored);
+        let mut formats = Vec::with_capacity(stored);
+        let mut tile_nnz = Vec::with_capacity(stored);
+        let mut dense_slot = Vec::with_capacity(stored);
+        let mut col_ptr = Vec::with_capacity(stored * (nt + 1));
+        let mut col_word = Vec::with_capacity(stored);
+        // Each band's first tile and first dense tile.
+        let (mut first_tile, mut first_dense) = (vec![0usize], vec![0u32]);
+        for band in &bands {
+            let (tiles, dense) = (tile_col.len(), *first_dense.last().expect("one band"));
+            let entries = *tile_ptr.last().expect("leading 0");
+            tile_row_ptr.extend(band.tile_row_ptr[1..].iter().map(|&p| p + tiles));
+            tile_ptr.extend(band.tile_ptr[1..].iter().map(|&p| p + entries));
+            dense_slot.extend(band.dense_slot.iter().map(|&d| {
+                if d == CSR_SLOT {
+                    d
                 } else {
-                    formats.push(TileFormat::Csr);
-                    dense_slot.push(CSR_SLOT);
-                    n_entries += n;
+                    d + dense
                 }
-                tile_ptr.push(n_entries);
-                // The column counts give the occupancy word and, for a CSR
-                // tile, the column offsets (a dense tile owns no entries);
-                // they are zeroed for the next row tile as they are read.
-                let mut word = 0u64;
-                let mut end = 0u16;
-                col_ptr.push(0);
-                for (lc, k) in col_count[ct as usize * nt..][..nt].iter_mut().enumerate() {
-                    let k = std::mem::take(k);
-                    word |= u64::from(k != 0) << lc;
-                    end += u16::from(k) * u16::from(!dense);
-                    col_ptr.push(end);
-                }
-                col_word.push(word);
-            }
-            if extracted {
-                let threshold = config.extract_threshold;
-                counter.count_extracted(cols, shift, threshold, &mut extra_col_ptr);
-            }
-            counter.clear();
-            tile_row_ptr.push(tile_col.len());
+            }));
+            tile_col.extend_from_slice(&band.tile_col);
+            formats.extend_from_slice(&band.formats);
+            tile_nnz.extend_from_slice(&band.tile_nnz);
+            col_ptr.extend_from_slice(&band.col_ptr);
+            col_word.extend_from_slice(&band.col_word);
+            first_tile.push(tile_col.len());
+            first_dense.push(dense + band.n_dense);
         }
-        for c in 0..ncols {
-            extra_col_ptr[c + 1] += extra_col_ptr[c];
-        }
-        // The tile-level arrays grew tile by tile; hold them at their
-        // length like every array pass 2 allocates.
-        tile_col.shrink_to_fit();
-        tile_ptr.shrink_to_fit();
-        formats.shrink_to_fit();
-        tile_nnz.shrink_to_fit();
-        dense_slot.shrink_to_fit();
-        col_ptr.shrink_to_fit();
-        col_word.shrink_to_fit();
+        let n_entries = *tile_ptr.last().expect("leading 0");
+        let n_dense = *first_dense.last().expect("one band") as usize;
 
-        // Pass 2 (fill): each entry goes straight to its final slot. A CSR
-        // tile's columns get one write cursor each, from its column
-        // offsets, and rows are walked in order, so every column's entries
-        // (tiled or extracted) arrive by ascending row: the tile bodies
-        // come out column-major with no sort. The side COO's column pointer
-        // serves as its write cursor and is shifted back afterwards.
+        // Pass 2 (fill): each band writes its tiles' entries and dense
+        // payloads into its own slices of the final arrays, and lists its
+        // extracted entries.
         let byte_index = nt == 16;
         let mut idx8 = vec![0u8; if byte_index { n_entries } else { 0 }];
         let mut idx16 = vec![0u16; if byte_index { 0 } else { n_entries }];
         let mut vals = vec![T::default(); n_entries];
-        let mut dense_vals = vec![T::default(); n_dense as usize * nt * nt];
+        let mut dense_vals = vec![T::default(); n_dense * nt * nt];
+        let mut work = Vec::with_capacity(bands.len());
+        {
+            let (mut i8s, mut i16s, mut vs) = (&mut idx8[..], &mut idx16[..], &mut vals[..]);
+            let (mut ds, mut slots) = (&mut dense_vals[..], &mut dense_slot[..]);
+            for k in 0..bands.len() {
+                let tiles = first_tile[k]..first_tile[k + 1];
+                let entries = tile_ptr[tiles.end] - tile_ptr[tiles.start];
+                let (i8b, rest) = i8s.split_at_mut(if byte_index { entries } else { 0 });
+                let (i16b, rest16) = i16s.split_at_mut(if byte_index { 0 } else { entries });
+                let (vb, vrest) = vs.split_at_mut(entries);
+                let dense = (first_dense[k + 1] - first_dense[k]) as usize * nt * nt;
+                let (db, drest) = ds.split_at_mut(dense);
+                let (sb, srest) = slots.split_at_mut(tiles.len());
+                (i8s, i16s, vs, ds, slots) = (rest, rest16, vrest, drest, srest);
+                let payload = Payload {
+                    idx8: i8b,
+                    idx16: i16b,
+                    vals: vb,
+                    dense_vals: db,
+                    dense_slot: sb,
+                };
+                work.push((bounds[k]..bounds[k + 1], tiles, payload));
+            }
+        }
+        drop(bands);
+        let layout = Layout {
+            nt,
+            n_tiles,
+            tile_row_ptr: &tile_row_ptr,
+            tile_col: &tile_col,
+            tile_ptr: &tile_ptr,
+            formats: &formats,
+            col_ptr: &col_ptr,
+            first_dense: &first_dense,
+        };
+        let extras = run_parts(work.into_iter().enumerate(), |(k, (rts, tiles, p))| {
+            fill_band(a, &layout, k, rts, tiles, p)
+        });
+
+        // The side COO, column-major: the bands' extracted entries arrive
+        // by ascending row, so a counting pass by column orders them with
+        // rows ascending inside each column.
+        let mut extra_col_ptr = vec![0usize; ncols + 1];
+        for &(_, c, _) in extras.iter().flatten() {
+            extra_col_ptr[c as usize + 1] += 1;
+        }
+        for c in 0..ncols {
+            extra_col_ptr[c + 1] += extra_col_ptr[c];
+        }
         let n_extra = extra_col_ptr[ncols];
         let mut extra_rows = vec![0u32; n_extra];
         let mut extra_vals = vec![T::default(); n_extra];
-        let mut dest = vec![Dest::Extra; n_tiles];
-        let mut col_next = vec![0u16; n_tiles * nt];
-        for rt in 0..m_tiles {
-            let tiles = tile_row_ptr[rt]..tile_row_ptr[rt + 1];
-            for t in tiles.clone() {
-                let ct = tile_col[t] as usize;
-                dest[ct] = match formats[t] {
-                    TileFormat::Csr => {
-                        col_next[ct * nt..][..nt].copy_from_slice(&col_ptr[t * (nt + 1)..][..nt]);
-                        Dest::Csr(tile_ptr[t], t)
-                    }
-                    TileFormat::Dense => Dest::Dense(dense_slot[t] as usize * nt * nt),
-                };
-            }
-            for r in row_tile_rows(rt, nt, nrows) {
-                let lr = r - rt * nt;
-                let (cols, row_vals) = a.row(r);
-                for (&c, &v) in cols.iter().zip(row_vals) {
-                    let lc = c as usize & (nt - 1);
-                    match dest[(c >> shift) as usize] {
-                        Dest::Csr(base, t) => {
-                            let next = &mut col_next[c as usize];
-                            let k = base + usize::from(*next);
-                            *next += 1;
-                            let p = lr * nt + lc;
-                            if byte_index {
-                                idx8[k] = p as u8;
-                            } else {
-                                idx16[k] = p as u16;
-                            }
-                            vals[k] = v;
-                            if non_finite(&v) {
-                                dense_slot[t] = NON_FINITE_SLOT;
-                            }
-                        }
-                        Dest::Dense(base) => dense_vals[base + lc * nt + lr] = v,
-                        Dest::Extra => {
-                            let k = &mut extra_col_ptr[c as usize];
-                            extra_rows[*k] = r as u32;
-                            extra_vals[*k] = v;
-                            *k += 1;
-                        }
-                    }
-                }
-            }
-            for t in tiles {
-                dest[tile_col[t] as usize] = Dest::Extra;
-            }
+        for &(r, c, v) in extras.iter().flatten() {
+            let k = &mut extra_col_ptr[c as usize];
+            extra_rows[*k] = r;
+            extra_vals[*k] = v;
+            *k += 1;
         }
+        drop(extras);
         extra_col_ptr.copy_within(0..ncols, 1);
         extra_col_ptr[0] = 0;
 
@@ -406,7 +402,7 @@ impl<T: Copy + PartialEq + Default> TileMatrix<T> {
         let (col_index_tiles, col_index_ptr) =
             counting_sort(tile_ids, n_tiles, |&t| tile_col[t as usize] as usize);
 
-        Ok(Self {
+        Self {
             nrows,
             ncols,
             config,
@@ -430,7 +426,7 @@ impl<T: Copy + PartialEq + Default> TileMatrix<T> {
             col_index_tiles,
             extra,
             extra_col_ptr,
-        })
+        }
     }
 
     /// Number of rows of the logical matrix.
@@ -575,7 +571,7 @@ impl<T: Copy + PartialEq + Default> TileMatrix<T> {
     /// used by tests to prove the conversion lossless.
     pub fn to_csr(&self) -> CsrMatrix<T>
     where
-        T: std::ops::Add<Output = T>,
+        T: std::ops::Add<Output = T> + Send + Sync,
     {
         let nt = self.nt();
         let mut coo = CooMatrix::with_capacity(self.nrows, self.ncols, self.nnz());
@@ -637,6 +633,178 @@ impl<T: Copy + PartialEq + Default> TileMatrix<T> {
             + self.extra_col_ptr.len() * 8
             + self.extra.nnz() * (4 + 4 + vb)
     }
+}
+
+/// The tile-level arrays pass 2 of [`TileMatrix::from_csr`] reads,
+/// shared by every band.
+struct Layout<'a> {
+    nt: usize,
+    n_tiles: usize,
+    tile_row_ptr: &'a [usize],
+    tile_col: &'a [u32],
+    tile_ptr: &'a [usize],
+    formats: &'a [TileFormat],
+    col_ptr: &'a [u16],
+    /// Each band's first dense tile, and the total after the last band.
+    first_dense: &'a [u32],
+}
+
+/// One band's slices of the arrays pass 2 fills.
+struct Payload<'a, T> {
+    idx8: &'a mut [u8],
+    idx16: &'a mut [u16],
+    vals: &'a mut [T],
+    dense_vals: &'a mut [T],
+    dense_slot: &'a mut [u32],
+}
+
+/// Pass 1 of [`TileMatrix::from_csr`] over row tiles `rts`: counts each
+/// column tile's entries, and each column's, per row tile. The counts fix
+/// every tile's format, column offsets and occupancy word, and its offsets
+/// in the band's share of the final arrays.
+fn count_band<T: Copy>(
+    a: &CsrMatrix<T>,
+    config: TileConfig,
+    rts: std::ops::Range<usize>,
+    n_tiles: usize,
+) -> BandTiles {
+    let nt = config.tile_size.nt();
+    // Fill level at which the dense payload takes over.
+    let dense_nnz = ((config.dense_threshold * (nt * nt) as f64).ceil() as usize).max(1);
+    let shift = nt.trailing_zeros();
+    let mut counter = BandCounter::new(n_tiles);
+    // Entries per column within the current row tile (at most `nt`).
+    let mut col_count = vec![0u8; n_tiles * nt];
+    let mut band = BandTiles {
+        tile_row_ptr: Vec::with_capacity(rts.len() + 1),
+        tile_ptr: vec![0],
+        ..BandTiles::default()
+    };
+    band.tile_row_ptr.push(0);
+    let mut n_entries = 0usize;
+    for rt in rts {
+        let rows = row_tile_rows(rt, nt, a.nrows());
+        let cols = &a.col_idx()[a.row_ptr()[rows.start]..a.row_ptr()[rows.end]];
+        for &c in cols {
+            counter.add((c >> shift) as usize);
+            col_count[c as usize] += 1;
+        }
+        counter.sort();
+        for &ct in counter.tiles() {
+            let n = counter.count(ct as usize);
+            if n <= config.extract_threshold {
+                // Its column counts are zeroed for the next row tile.
+                col_count[ct as usize * nt..][..nt].fill(0);
+                continue;
+            }
+            band.tile_col.push(ct);
+            band.tile_nnz.push(n as u32);
+            let dense = n >= dense_nnz;
+            if dense {
+                band.formats.push(TileFormat::Dense);
+                band.dense_slot.push(band.n_dense);
+                band.n_dense += 1;
+            } else {
+                band.formats.push(TileFormat::Csr);
+                band.dense_slot.push(CSR_SLOT);
+                n_entries += n;
+            }
+            band.tile_ptr.push(n_entries);
+            // The column counts give the occupancy word and, for a CSR
+            // tile, the column offsets (a dense tile owns no entries);
+            // they are zeroed for the next row tile as they are read.
+            let mut word = 0u64;
+            let mut end = 0u16;
+            band.col_ptr.push(0);
+            for (lc, k) in col_count[ct as usize * nt..][..nt].iter_mut().enumerate() {
+                let k = std::mem::take(k);
+                word |= u64::from(k != 0) << lc;
+                end += u16::from(k) * u16::from(!dense);
+                band.col_ptr.push(end);
+            }
+            band.col_word.push(word);
+        }
+        counter.clear();
+        band.tile_row_ptr.push(band.tile_col.len());
+    }
+    band
+}
+
+/// Pass 2 of [`TileMatrix::from_csr`] over band `k`, row tiles `rts`
+/// holding stored tiles `tiles`: each tiled entry goes straight to its
+/// final slot in the band's `out`, and each extracted one to a list,
+/// returned. A CSR tile's columns get one write cursor each, from
+/// its column offsets, and rows are walked in order, so every column's
+/// entries arrive by ascending row: the tile bodies come out column-major
+/// with no sort, and `extra` comes out row-major.
+fn fill_band<T: Copy + Default + 'static>(
+    a: &CsrMatrix<T>,
+    l: &Layout<'_>,
+    k: usize,
+    rts: std::ops::Range<usize>,
+    tiles: std::ops::Range<usize>,
+    out: Payload<'_, T>,
+) -> Vec<(u32, u32, T)> {
+    let (nt, n_tiles) = (l.nt, l.n_tiles);
+    let shift = nt.trailing_zeros();
+    let byte_index = nt == 16;
+    let mut extra = Vec::new();
+    let (first_entry, first_dense) = (l.tile_ptr[tiles.start], l.first_dense[k] as usize);
+    let Payload {
+        idx8,
+        idx16,
+        vals,
+        dense_vals,
+        dense_slot,
+    } = out;
+    let mut dest = vec![Dest::Extra; n_tiles];
+    let mut col_next = vec![0u16; n_tiles * nt];
+    for rt in rts {
+        let stored = l.tile_row_ptr[rt]..l.tile_row_ptr[rt + 1];
+        for t in stored.clone() {
+            let ct = l.tile_col[t] as usize;
+            dest[ct] = match l.formats[t] {
+                TileFormat::Csr => {
+                    col_next[ct * nt..][..nt].copy_from_slice(&l.col_ptr[t * (nt + 1)..][..nt]);
+                    Dest::Csr(l.tile_ptr[t] - first_entry, t - tiles.start)
+                }
+                TileFormat::Dense => {
+                    let slot = dense_slot[t - tiles.start] as usize - first_dense;
+                    Dest::Dense(slot * nt * nt)
+                }
+            };
+        }
+        for r in row_tile_rows(rt, nt, a.nrows()) {
+            let lr = r - rt * nt;
+            let (cols, row_vals) = a.row(r);
+            for (&c, &v) in cols.iter().zip(row_vals) {
+                let lc = c as usize & (nt - 1);
+                match dest[(c >> shift) as usize] {
+                    Dest::Csr(base, t) => {
+                        let next = &mut col_next[c as usize];
+                        let e = base + usize::from(*next);
+                        *next += 1;
+                        let p = lr * nt + lc;
+                        if byte_index {
+                            idx8[e] = p as u8;
+                        } else {
+                            idx16[e] = p as u16;
+                        }
+                        vals[e] = v;
+                        if non_finite(&v) {
+                            dense_slot[t] = NON_FINITE_SLOT;
+                        }
+                    }
+                    Dest::Dense(base) => dense_vals[base + lc * nt + lr] = v,
+                    Dest::Extra => extra.push((r as u32, c, v)),
+                }
+            }
+        }
+        for t in stored {
+            dest[l.tile_col[t] as usize] = Dest::Extra;
+        }
+    }
+    extra
 }
 
 #[cfg(test)]

@@ -33,12 +33,11 @@
 
 use crate::grid::{apply_order, schedule_order};
 use crate::sanitize::Sanitizer;
+use crate::split::{host_threads, run_parts};
 use crate::stats::KernelStats;
 use crate::trace::Tracer;
 use crate::warp::WarpCtx;
 use std::sync::Arc;
-use std::sync::OnceLock;
-use std::time::{Duration, Instant};
 
 /// The work estimate at which a `native:N` launch splits over threads;
 /// every launch below it runs on the calling thread.
@@ -56,14 +55,6 @@ use std::time::{Duration, Instant};
 /// batches, which measured faster split, and above the lanes whose splits
 /// gained too little to show in perfbench.
 pub const SPLIT_WORK: usize = 1 << 19;
-
-/// The host's hardware threads, read once per process: what `native`
-/// without a count splits over, and what the baselines size their
-/// per-thread work from.
-pub fn host_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
-}
 
 /// How a kernel launch runs its warps: all on the calling thread
 /// ([`ExecBackend::model`], the default), or split over `N` threads when
@@ -189,48 +180,17 @@ impl ExecBackend {
     }
 }
 
-/// Runs `run` over each of `parts`, the first on the calling thread and
-/// every other one on a scoped thread of its own, and sums the counters.
-/// A panic in any part reaches the caller with its payload.
+/// Runs `run` over each of `parts` through [`run_parts`] and sums the
+/// counters. A panic in any part reaches the caller with its payload.
 ///
 /// Never inlined, so the spawning code stays out of the launch loops'
 /// inline path, which every small launch runs.
 #[inline(never)]
 fn run_split<P: Send>(
-    mut parts: impl Iterator<Item = P>,
+    parts: impl Iterator<Item = P>,
     run: impl Fn(P) -> KernelStats + Sync,
 ) -> KernelStats {
-    let Some(first) = parts.next() else {
-        return KernelStats::default();
-    };
-    let run = &run;
-    std::thread::scope(|s| {
-        let start = Instant::now();
-        let spawned: Vec<_> = parts.map(|p| s.spawn(move || run(p))).collect();
-        let mut total = run(first);
-        // The caller waits for the other parts runnable, yielding, before
-        // it blocks in `join`. A caller blocked in `join` is woken on the
-        // CPU the joined thread ran on, and moving it after every split
-        // slowed perfbench's single-threaded fem set-ups (`setup_s` ~0.15 s
-        // against ~0.11 s). The parts are equal in warps, and in those runs
-        // every spawned part finished within 2.6 times the caller's part
-        // time, so the caller yields for at most twice its part time more.
-        // With more parts than hardware threads it blocks at once: the
-        // parts then wait for a CPU, and a spinning caller would hold one.
-        let spin = if spawned.len() < host_threads() {
-            2 * start.elapsed()
-        } else {
-            Duration::ZERO
-        };
-        let deadline = Instant::now() + spin;
-        for h in spawned {
-            while !h.is_finished() && Instant::now() < deadline {
-                std::thread::yield_now();
-            }
-            total += h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-        }
-        total
-    })
+    run_parts(parts, run).into_iter().sum()
 }
 
 /// Where a launch runs and what watches it: the execution backend plus

@@ -17,6 +17,10 @@
 //!   the work counters it adds to, and the sanitizer it logs its global
 //!   accesses on. The bodies walk their lanes in lane order, which keeps
 //!   the lock-step semantics of the CUDA code.
+//! * [`split`] — the one copy of the code that runs a job's parts on the
+//!   calling thread and on scoped threads: split launches, and the set-up
+//!   layers (ingest, CSR build, tile conversion) whose input reaches
+//!   [`SETUP_SPLIT`] entries.
 //! * [`atomic`] — the `atomicOr` of the paper's Algorithms 5–7 over a
 //!   plain word vector.
 //! * [`stats`] — per-kernel work counters (global memory traffic, flops,
@@ -46,6 +50,7 @@ pub mod metrics;
 pub mod model;
 pub mod profile;
 pub mod sanitize;
+pub mod split;
 pub mod stats;
 pub mod trace;
 pub mod warp;
@@ -54,7 +59,7 @@ pub use analyze::{
     AccessMode, AtomicKind, BufferUse, Footprint, LaunchSummary, MergeSpec, Obligation,
     ObligationKind, PlanError, PlanReport, Verdict,
 };
-pub use backend::{host_threads, ExecBackend, ExecCtx, SPLIT_WORK};
+pub use backend::{ExecBackend, ExecCtx, SPLIT_WORK};
 pub use device::{DeviceConfig, RTX_3060, RTX_3090};
 pub use grid::{replay_check, with_schedule, ReplayReport, SchedulePolicy};
 
@@ -73,6 +78,7 @@ pub(crate) fn poison<T: Send>(m: &std::sync::Mutex<T>) {
 }
 pub use profile::Profile;
 pub use sanitize::Sanitizer;
+pub use split::{host_threads, run_parts, setup_parts, SETUP_SPLIT};
 pub use stats::KernelStats;
 pub use trace::Tracer;
 pub use warp::{WarpCtx, WARP_SIZE};

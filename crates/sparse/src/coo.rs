@@ -101,6 +101,16 @@ impl<T: Copy> CooMatrix<T> {
         Ok(())
     }
 
+    /// Moves every entry of `other` to the end of `self`, in order,
+    /// leaving `other` empty with its capacity kept. Both must have the
+    /// same shape.
+    pub(crate) fn append(&mut self, other: &mut Self) {
+        debug_assert_eq!((self.nrows, self.ncols), (other.nrows, other.ncols));
+        self.rows.append(&mut other.rows);
+        self.cols.append(&mut other.cols);
+        self.vals.append(&mut other.vals);
+    }
+
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.nrows
@@ -154,7 +164,7 @@ impl<T: Copy> CooMatrix<T> {
     /// Converts to CSR, summing duplicate coordinates.
     pub fn to_csr(&self) -> CsrMatrix<T>
     where
-        T: std::ops::Add<Output = T>,
+        T: std::ops::Add<Output = T> + Default + Send + Sync,
     {
         CsrMatrix::from_coo(self)
     }
@@ -162,7 +172,7 @@ impl<T: Copy> CooMatrix<T> {
     /// Converts to CSC, summing duplicate coordinates.
     pub fn to_csc(&self) -> CscMatrix<T>
     where
-        T: std::ops::Add<Output = T>,
+        T: std::ops::Add<Output = T> + Default + Send + Sync,
     {
         CscMatrix::from_coo(self)
     }
@@ -181,9 +191,9 @@ impl<T: Copy> CooMatrix<T> {
     }
 }
 
-impl<T: Copy + std::ops::Add<Output = T>> CooMatrix<T> {
+impl<T: Copy + std::ops::Add<Output = T> + Default + Send + Sync> CooMatrix<T> {
     /// Sorts row-major and sums entries sharing a coordinate in input
-    /// order, through the counting sort of [`CsrMatrix::from_coo`].
+    /// order, through [`CsrMatrix::from_coo`].
     pub fn sum_duplicates(&mut self) {
         *self = CsrMatrix::from_coo(self).to_coo();
     }

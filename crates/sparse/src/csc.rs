@@ -108,7 +108,7 @@ impl<T: Copy> CscMatrix<T> {
     /// Converts from COO by building the CSR of the transpose.
     pub fn from_coo(coo: &CooMatrix<T>) -> Self
     where
-        T: std::ops::Add<Output = T>,
+        T: std::ops::Add<Output = T> + Default + Send + Sync,
     {
         let t = coo.transpose().to_csr();
         Self {

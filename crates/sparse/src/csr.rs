@@ -3,9 +3,73 @@
 use crate::coo::CooMatrix;
 use crate::csc::CscMatrix;
 use crate::error::SparseError;
-use crate::sort::counting_sort;
 use crate::Result;
 use std::sync::OnceLock;
+use tsv_simt::{run_parts, setup_parts};
+
+/// The `parts + 1` boundaries that cut the rows delimited by `row_ptr`
+/// into `parts` bands of whole units of `unit` rows (the last unit may be
+/// short) holding about equal entries. Bands are empty where one unit
+/// holds several shares.
+pub fn row_bands(row_ptr: &[usize], parts: usize, unit: usize) -> Vec<usize> {
+    let nrows = row_ptr.len() - 1;
+    let (nnz, units) = (row_ptr[nrows], nrows.div_ceil(unit));
+    let mut bounds = vec![0usize];
+    for k in 1..parts {
+        let row = row_ptr.partition_point(|&p| p < nnz * k / parts).min(nrows);
+        bounds.push(row.div_ceil(unit).min(units).max(bounds[k - 1]));
+    }
+    bounds.push(units);
+    bounds
+}
+
+/// Orders the rows of one band of [`CsrMatrix::from_coo`] by column and
+/// sums their duplicates, moving each row left over the slots the rows
+/// before it freed. On entry row `i` holds the slots up to `ends[i]`
+/// (absolute, the band starting at slot `first_slot`) of `cols`/`vals`, in
+/// input order; on return `ends[i]` is its end relative to the band's
+/// first slot. Returns the band's entries kept.
+fn sort_rows<T: Copy + std::ops::Add<Output = T>>(
+    first_slot: usize,
+    ends: &mut [usize],
+    cols: &mut [u32],
+    vals: &mut [T],
+) -> usize {
+    let (mut start, mut at) = (0, 0);
+    let mut row: Vec<(u32, T)> = Vec::new();
+    for end in ends {
+        let stop = *end - first_slot;
+        if cols[start..stop].windows(2).all(|w| w[0] < w[1]) {
+            if at != start {
+                cols.copy_within(start..stop, at);
+                vals.copy_within(start..stop, at);
+            }
+            at += stop - start;
+        } else {
+            row.clear();
+            row.extend(
+                cols[start..stop]
+                    .iter()
+                    .copied()
+                    .zip(vals[start..stop].iter().copied()),
+            );
+            row.sort_by_key(|&(c, _)| c);
+            let row_start = at;
+            for &(c, v) in &row {
+                if at > row_start && cols[at - 1] == c {
+                    vals[at - 1] = vals[at - 1] + v;
+                } else {
+                    cols[at] = c;
+                    vals[at] = v;
+                    at += 1;
+                }
+            }
+        }
+        *end = at;
+        start = stop;
+    }
+    at
+}
 
 /// A sparse matrix in CSR form: `row_ptr` of length `nrows + 1` delimits the
 /// column-index/value run of each row.
@@ -110,46 +174,105 @@ impl<T: Copy> CsrMatrix<T> {
 
     /// Converts from COO, sorting row-major and summing duplicates.
     ///
-    /// A [`counting_sort`] of the entry positions by row orders the
-    /// entries stably; input whose rows never decrease skips the scatter.
-    /// Then each row is copied when its columns strictly increase, and
-    /// otherwise sorted stably by column with each run of one coordinate
-    /// summed left to right. That is the order of a stable `(row, col)`
-    /// sort, so duplicates are summed in input order, without a comparison
-    /// sort over all entries.
+    /// One count of the entries per row and a prefix sum give each row its
+    /// slots. The rows are then filled in bands of about equal entries,
+    /// each band scanning the COO in order and writing its own rows, so
+    /// every row holds its entries in input order: a COO whose rows never
+    /// decrease is copied band by band instead. A row whose columns
+    /// strictly increase is done; any other is sorted stably by column,
+    /// with each run of one coordinate summed left to right. That is the
+    /// order of a stable `(row, col)` sort, so duplicates are summed in
+    /// input order, without a comparison sort over all entries.
+    ///
+    /// A COO of [`SETUP_SPLIT`](tsv_simt::SETUP_SPLIT) entries or more is
+    /// filled in [`setup_parts`] bands on host threads; the result does
+    /// not depend on the band count.
     pub fn from_coo(coo: &CooMatrix<T>) -> Self
     where
-        T: std::ops::Add<Output = T>,
+        T: std::ops::Add<Output = T> + Default + Send + Sync,
+    {
+        Self::from_coo_in_parts(coo, setup_parts(coo.nnz()))
+    }
+
+    /// [`from_coo`](Self::from_coo) in `parts` row bands. Public only so
+    /// the workspace's tests can run the split at any part count.
+    #[doc(hidden)]
+    pub fn from_coo_in_parts(coo: &CooMatrix<T>, parts: usize) -> Self
+    where
+        T: std::ops::Add<Output = T> + Default + Send + Sync,
     {
         let nrows = coo.nrows();
         let (rows, cols, vals) = (coo.row_indices(), coo.col_indices(), coo.values());
-        // Entry positions, ordered by row.
-        let (mut order, start) =
-            counting_sort((0..rows.len()).collect(), nrows, |&i| rows[i] as usize);
-
-        let mut row_ptr = Vec::with_capacity(nrows + 1);
-        row_ptr.push(0);
-        let mut col_idx = Vec::with_capacity(order.len());
-        let mut out_vals: Vec<T> = Vec::with_capacity(order.len());
+        let nnz = rows.len();
+        // Each row's slots, duplicates included, and whether the rows of
+        // the input never decrease.
+        let mut row_ptr = vec![0usize; nrows + 1];
+        let (mut prev, mut sorted) = (0, true);
+        for &r in rows {
+            row_ptr[r as usize + 1] += 1;
+            sorted &= prev <= r;
+            prev = r;
+        }
         for r in 0..nrows {
-            let row = &mut order[start[r]..start[r + 1]];
-            if row.windows(2).all(|w| cols[w[0]] < cols[w[1]]) {
-                col_idx.extend(row.iter().map(|&i| cols[i]));
-                out_vals.extend(row.iter().map(|&i| vals[i]));
+            row_ptr[r + 1] += row_ptr[r];
+        }
+
+        // Bands of whole rows of about `nnz / parts` entries each. A band
+        // owns its rows' slots and its rows' entries of `row_ptr[1..]`,
+        // which it overwrites with each row's end relative to the band's
+        // first slot, after its summed duplicates are dropped.
+        let bounds = row_bands(&row_ptr, parts.max(1), 1);
+        let base: Vec<usize> = bounds.iter().map(|&r| row_ptr[r]).collect();
+        let mut col_idx = vec![0u32; nnz];
+        let mut out_vals = vec![T::default(); nnz];
+        let parts = bounds.len() - 1;
+        let mut bands = Vec::with_capacity(parts);
+        let (mut ends, mut ci, mut cv) = (&mut row_ptr[1..], &mut col_idx[..], &mut out_vals[..]);
+        for k in 0..parts {
+            let (e, rest) = ends.split_at_mut(bounds[k + 1] - bounds[k]);
+            let (c, crest) = ci.split_at_mut(base[k + 1] - base[k]);
+            let (v, vrest) = cv.split_at_mut(base[k + 1] - base[k]);
+            bands.push((bounds[k], base[k], e, c, v));
+            (ends, ci, cv) = (rest, crest, vrest);
+        }
+        let kept = run_parts(bands, |(first_row, first_slot, ends, c, v)| {
+            if sorted {
+                let slots = first_slot..first_slot + c.len();
+                c.copy_from_slice(&cols[slots.clone()]);
+                v.copy_from_slice(&vals[slots]);
             } else {
-                row.sort_by_key(|&i| cols[i]);
-                for &i in row.iter() {
-                    if col_idx.len() > row_ptr[r] && col_idx.last() == Some(&cols[i]) {
-                        let last = out_vals.last_mut().expect("values track indices");
-                        *last = *last + vals[i];
-                    } else {
-                        col_idx.push(cols[i]);
-                        out_vals.push(vals[i]);
+                // Each row's next slot, relative to the band's first.
+                let mut next: Vec<usize> = std::iter::once(0)
+                    .chain(ends.iter().map(|&e| e - first_slot))
+                    .collect();
+                let band = first_row..first_row + ends.len();
+                for (i, &r) in rows.iter().enumerate() {
+                    if band.contains(&(r as usize)) {
+                        let slot = &mut next[r as usize - first_row];
+                        c[*slot] = cols[i];
+                        v[*slot] = vals[i];
+                        *slot += 1;
                     }
                 }
             }
-            row_ptr.push(col_idx.len());
+            sort_rows(first_slot, ends, c, v)
+        });
+
+        // Close the gaps summed duplicates left between bands, and make
+        // the row ends absolute.
+        let mut at = 0;
+        for (k, kept) in kept.into_iter().enumerate() {
+            if at != base[k] {
+                col_idx.copy_within(base[k]..base[k] + kept, at);
+                out_vals.copy_within(base[k]..base[k] + kept, at);
+            }
+            for end in &mut row_ptr[bounds[k] + 1..=bounds[k + 1]] {
+                *end += at;
+            }
+            at += kept;
         }
+        col_idx.truncate(at);
+        out_vals.truncate(at);
         Self {
             nrows,
             ncols: coo.ncols(),
@@ -433,6 +556,73 @@ mod tests {
             sorted.push(0, 1, v);
         }
         assert_eq!(sorted.to_csr().values(), &[0.0]);
+    }
+
+    #[test]
+    fn from_coo_in_parts_matches_one_part() {
+        // Rows in order and out of it, duplicates that sum differently in
+        // any other order, empty rows and more bands than rows.
+        let mut coos = Vec::new();
+        let mut scattered = CooMatrix::<f64>::new(40, 30);
+        let mut state = 7u64;
+        for _ in 0..600 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let (r, c) = ((state >> 33) as usize % 40, (state >> 13) as usize % 30);
+            if r % 9 != 4 {
+                scattered.push(r, c, [1e16, 1.0, -1e16][(state >> 5) as usize % 3]);
+            }
+        }
+        coos.push(scattered.clone());
+        coos.push(scattered.to_csr().to_coo());
+        let mut tiny = CooMatrix::new(3, 3);
+        for (r, c, v) in [(2, 1, 1.0f64), (0, 2, 2.0), (2, 1, 3.0), (0, 0, 4.0)] {
+            tiny.push(r, c, v);
+        }
+        coos.push(tiny);
+        coos.push(CooMatrix::new(0, 5));
+        coos.push(CooMatrix::new(6, 6));
+        for coo in &coos {
+            let one = CsrMatrix::from_coo_in_parts(coo, 1);
+            assert!(CsrMatrix::from_parts(
+                one.nrows(),
+                one.ncols(),
+                one.row_ptr().to_vec(),
+                one.col_idx().to_vec(),
+                one.values().to_vec()
+            )
+            .is_ok());
+            for parts in 2..=5 {
+                let split = CsrMatrix::from_coo_in_parts(coo, parts);
+                assert_eq!(split, one, "{parts} parts");
+                assert_eq!(
+                    split
+                        .values()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>(),
+                    one.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                );
+            }
+        }
+        // The summed duplicates close up across bands.
+        let one = CsrMatrix::from_coo_in_parts(&coos[0], 1);
+        assert!(one.nnz() < coos[0].nnz());
+    }
+
+    #[test]
+    fn row_bands_split_rows_by_entries() {
+        let row_ptr = [0, 10, 10, 12, 30, 31, 40];
+        assert_eq!(row_bands(&row_ptr, 1, 1), [0, 6]);
+        // Each cut is at the first row boundary at or past its share.
+        assert_eq!(row_bands(&row_ptr, 2, 1), [0, 4, 6]);
+        assert_eq!(row_bands(&row_ptr, 4, 1), [0, 1, 4, 4, 6]);
+        // In units of 4 rows: the last unit is short.
+        assert_eq!(row_bands(&row_ptr, 2, 4), [0, 1, 2]);
+        // More bands than rows: empty bands.
+        assert_eq!(row_bands(&[0, 5], 3, 1), [0, 1, 1, 1]);
+        assert_eq!(row_bands(&[0], 2, 1), [0, 0, 0]);
     }
 
     #[test]

@@ -21,6 +21,7 @@ use crate::error::SparseError;
 use crate::Result;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
+use tsv_simt::{run_parts, setup_parts};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Field {
@@ -49,9 +50,33 @@ const MAX_RESERVE: usize = 1 << 24;
 /// The size line is validated before anything is allocated: dimensions
 /// must fit `u32` indices and the declared entry count must fit the
 /// matrix, else the result is [`SparseError::Parse`]. The entries after it
-/// are read in fixed-size blocks and parsed in place, with no allocation
-/// per line.
+/// are read in blocks and parsed in place, with no allocation per line.
+///
+/// A file that declares [`SETUP_SPLIT`](tsv_simt::SETUP_SPLIT) entries or
+/// more is parsed in [`setup_parts`] parts of each block on host threads;
+/// the result, and any error with its line, is the single-part one.
 pub fn read_matrix_market_from<R: Read>(reader: R) -> Result<CooMatrix<f64>> {
+    read_matrix_market_in_parts(reader, None)
+}
+
+/// [`read_matrix_market_from`] with each block cut into `parts` parts, or
+/// into [`setup_parts`] of the declared entry count when `None`. Public
+/// only so the workspace's tests can run the split at any part count.
+#[doc(hidden)]
+pub fn read_matrix_market_in_parts<R: Read>(
+    reader: R,
+    parts: Option<usize>,
+) -> Result<CooMatrix<f64>> {
+    read_in_blocks(reader, parts, None)
+}
+
+/// [`read_matrix_market_in_parts`] reading `block` bytes at a time, or
+/// [`BLOCK`] ([`SPLIT_BLOCK`] in parts) when `None`.
+fn read_in_blocks<R: Read>(
+    reader: R,
+    parts: Option<usize>,
+    block: Option<usize>,
+) -> Result<CooMatrix<f64>> {
     let mut reader = BufReader::new(reader);
     let mut lines = (&mut reader).lines();
     let mut lineno = 0usize;
@@ -129,63 +154,19 @@ pub fn read_matrix_market_from<R: Read>(reader: R) -> Result<CooMatrix<f64>> {
     // The header is untrusted: reserve at most `MAX_RESERVE` entries up
     // front, so anything beyond grows from entries actually read.
     let coo = CooMatrix::with_capacity(nrows, ncols, cap.min(MAX_RESERVE));
+    let parts = parts.unwrap_or_else(|| setup_parts(nnz)).max(1);
     let mut entries = Entries {
         field,
         symmetry,
         coo,
+        spare: (1..parts)
+            .map(|_| CooMatrix::with_capacity(nrows, ncols, cap.min(MAX_RESERVE) / parts))
+            .collect(),
         lineno,
         seen: 0,
     };
-    // The entries are read in blocks and parsed in place, whole lines at a
-    // time; a line cut by the end of a block moves to the front of the
-    // next one. The block grows only for a line longer than itself.
-    let mut block = vec![0u8; BLOCK];
-    let mut held = 0;
-    loop {
-        if held == block.len() {
-            block.resize(2 * held, 0);
-        }
-        let n = match reader.read(&mut block[held..]) {
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        };
-        let end = held + n;
-        // The held bytes hold no `\n`. At the end of the input the rest is
-        // the last line, with or without a final newline.
-        let cut = if n == 0 {
-            end
-        } else {
-            block[held..end]
-                .iter()
-                .rposition(|&b| b == b'\n')
-                .map_or(0, |i| held + i + 1)
-        };
-        match std::str::from_utf8(&block[..cut]) {
-            Ok(text) => entries.parse(text)?,
-            Err(e) => {
-                // Lines end at `\n`, an ASCII byte, so the lines before
-                // the one with the first bad byte are valid. They are
-                // parsed first, so their errors win, as a line-at-a-time
-                // reader would report them.
-                let valid = block[..e.valid_up_to()]
-                    .iter()
-                    .rposition(|&b| b == b'\n')
-                    .map_or(0, |i| i + 1);
-                entries.parse(std::str::from_utf8(&block[..valid]).expect("valid UTF-8 prefix"))?;
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "stream did not contain valid UTF-8",
-                )
-                .into());
-            }
-        }
-        if n == 0 {
-            break;
-        }
-        block.copy_within(cut..end, 0);
-        held = end - cut;
-    }
+    let block = block.unwrap_or(if parts > 1 { SPLIT_BLOCK } else { BLOCK });
+    read_lines(&mut reader, block, |lines| entries.parse_block(lines))?;
     let Entries {
         coo, lineno, seen, ..
     } = entries;
@@ -198,94 +179,242 @@ pub fn read_matrix_market_from<R: Read>(reader: R) -> Result<CooMatrix<f64>> {
     Ok(coo)
 }
 
+/// Reads `reader` to its end in blocks of `block` bytes and hands `parse`
+/// the whole lines of each: a line cut by the end of a block moves to the
+/// front of the next one, and the block grows only for a line longer than
+/// itself. At the end of the input the rest is the last line, with or
+/// without a final newline.
+fn read_lines<R: Read>(
+    reader: &mut R,
+    block: usize,
+    mut parse: impl FnMut(&[u8]) -> Result<()>,
+) -> Result<()> {
+    let mut block = vec![0u8; block];
+    let mut held = 0;
+    loop {
+        if held == block.len() {
+            block.resize(2 * held, 0);
+        }
+        let end = held + fill(reader, &mut block[held..])?;
+        // The held bytes hold no `\n`.
+        let at_end = end < block.len();
+        let cut = if at_end {
+            end
+        } else {
+            block[held..end]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |i| held + i + 1)
+        };
+        parse(&block[..cut])?;
+        if at_end {
+            return Ok(());
+        }
+        block.copy_within(cut..end, 0);
+        held = end - cut;
+    }
+}
+
+/// Reads into `buf` until it is full or the input ends; returns the bytes
+/// read, fewer than `buf.len()` only at the end of the input.
+fn fill(reader: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
+    let mut n = 0;
+    while n < buf.len() {
+        match reader.read(&mut buf[n..]) {
+            Ok(0) => break,
+            Ok(k) => n += k,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(n)
+}
+
+/// Hands `parse` the whole lines of `bytes` as text. A byte that is not
+/// UTF-8 is an I/O error at its line, after the lines before it are
+/// parsed: their errors win, as a line-at-a-time reader would report them.
+fn utf8_lines<C>(bytes: &[u8], parse: impl FnOnce(&str) -> Result<C>) -> Result<C> {
+    match std::str::from_utf8(bytes) {
+        Ok(text) => parse(text),
+        Err(e) => {
+            // Lines end at `\n`, an ASCII byte, so the lines before the
+            // one with the first bad byte are valid.
+            let valid = bytes[..e.valid_up_to()]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |i| i + 1);
+            parse(std::str::from_utf8(&bytes[..valid]).expect("valid UTF-8 prefix"))?;
+            Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+            .into())
+        }
+    }
+}
+
 /// Bytes [`read_matrix_market_from`] reads at a time after the size line.
 const BLOCK: usize = 1 << 16;
+
+/// Bytes it reads at a time when it parses each block in parts: a few
+/// MiB, so that a scoped thread per part and block is paid once per ~10^5
+/// lines.
+const SPLIT_BLOCK: usize = 1 << 22;
 
 /// The entry lines of a MatrixMarket file parsed so far.
 struct Entries {
     field: Field,
     symmetry: Symmetry,
+    /// The result: the first part of every block parses straight into it,
+    /// and the other parts' entries are appended after each block.
     coo: CooMatrix<f64>,
+    /// The entries of parts `1..` of the current block, one buffer each,
+    /// kept across blocks.
+    spare: Vec<CooMatrix<f64>>,
     /// Number of the last line parsed.
     lineno: usize,
     /// Entry lines seen, comments and blank lines excluded.
     seen: usize,
 }
 
+/// What one part of a block parsed: its lines and its entry lines.
+struct PartCount {
+    lines: usize,
+    seen: usize,
+}
+
 impl Entries {
-    /// Parses whole lines of entries, comments and blank lines; `text`
-    /// ends at a line end or at the end of the input.
-    fn parse(&mut self, text: &str) -> Result<()> {
-        let mut parts = Cursor { text, pos: 0 };
-        while !parts.at_end() {
-            self.lineno += 1;
-            let lineno = self.lineno;
-            let first = match parts.token() {
-                Some(tok) if !tok.starts_with('%') => tok,
-                _ => {
-                    parts.next_line();
-                    continue;
+    /// Parses the whole lines of `block` (it ends at a line end or at the
+    /// end of the input) in `1 + spare.len()` parts cut at line ends, and
+    /// appends their entries in file order. A part numbers its lines from
+    /// 0, so its error is moved by the lines of the block's parts before
+    /// it; the first error in file order is the one returned.
+    fn parse_block(&mut self, block: &[u8]) -> Result<()> {
+        let (field, symmetry) = (self.field, self.symmetry);
+        let cuts = line_cuts(block, 1 + self.spare.len());
+        let texts = cuts.windows(2).map(|w| &block[w[0]..w[1]]);
+        let sinks = std::iter::once(&mut self.coo).chain(&mut self.spare);
+        let counts = run_parts(texts.zip(sinks), |(text, sink)| {
+            utf8_lines(text, |text| parse_lines(text, field, symmetry, sink))
+        });
+        for count in counts {
+            match count {
+                Ok(c) => {
+                    self.lineno += c.lines;
+                    self.seen += c.seen;
                 }
-            };
-            let r = parse_num(first, lineno)?;
-            let c = parse_num(
-                parts.token().ok_or_else(|| SparseError::Parse {
-                    line: lineno,
-                    msg: "missing column index".to_string(),
-                })?,
-                lineno,
-            )?;
-            if r == 0 || c == 0 {
-                return Err(SparseError::Parse {
-                    line: lineno,
-                    msg: "MatrixMarket indices are 1-based; found 0".to_string(),
-                });
-            }
-            let v = match self.field {
-                Field::Pattern => 1.0,
-                Field::Real | Field::Integer => {
-                    let tok = parts.token().ok_or_else(|| SparseError::Parse {
-                        line: lineno,
-                        msg: "missing value".to_string(),
-                    })?;
-                    let v = tok.parse::<f64>().map_err(|e| SparseError::Parse {
-                        line: lineno,
-                        msg: format!("bad value {tok:?}: {e}"),
-                    })?;
-                    if !v.is_finite() {
-                        return Err(SparseError::Parse {
-                            line: lineno,
-                            msg: format!("non-finite value {tok:?}"),
-                        });
-                    }
-                    v
+                Err(SparseError::Parse { line, msg }) => {
+                    return Err(SparseError::Parse {
+                        line: self.lineno + line,
+                        msg,
+                    })
                 }
-            };
-            if let Some(tok) = parts.token() {
-                return Err(SparseError::Parse {
-                    line: lineno,
-                    msg: format!("unexpected token {tok:?} after the entry"),
-                });
+                Err(e) => return Err(e),
             }
-            let symmetric = self.symmetry == Symmetry::Symmetric;
-            if symmetric && r < c {
-                return Err(SparseError::Parse {
-                    line: lineno,
-                    msg: format!(
-                        "entry ({r}, {c}) lies above the diagonal; \
-                         a symmetric file stores only the lower triangle"
-                    ),
-                });
-            }
-            self.coo.try_push(r - 1, c - 1, v)?;
-            if symmetric && r != c {
-                self.coo.try_push(c - 1, r - 1, v)?;
-            }
-            self.seen += 1;
-            parts.next_line();
+        }
+        for part in &mut self.spare {
+            self.coo.append(part);
         }
         Ok(())
     }
+}
+
+/// The `parts + 1` offsets that cut `text` into `parts` runs of whole
+/// lines of about equal bytes: each cut moves to just past the first `\n`
+/// at or after its even share. Runs are empty where one line spans
+/// several shares.
+fn line_cuts(text: &[u8], parts: usize) -> Vec<usize> {
+    let mut cuts = vec![0];
+    for k in 1..parts {
+        let at = (text.len() * k / parts).max(cuts[k - 1]);
+        let cut = text[at..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(text.len(), |i| at + i + 1);
+        cuts.push(cut);
+    }
+    cuts.push(text.len());
+    cuts
+}
+
+/// Parses whole lines of entries, comments and blank lines into `coo`,
+/// numbering them from 1.
+fn parse_lines(
+    text: &str,
+    field: Field,
+    symmetry: Symmetry,
+    coo: &mut CooMatrix<f64>,
+) -> Result<PartCount> {
+    let mut parts = Cursor { text, pos: 0 };
+    let mut count = PartCount { lines: 0, seen: 0 };
+    while !parts.at_end() {
+        count.lines += 1;
+        let lineno = count.lines;
+        let first = match parts.token() {
+            Some(tok) if !tok.starts_with('%') => tok,
+            _ => {
+                parts.next_line();
+                continue;
+            }
+        };
+        let r = parse_index(first, lineno)?;
+        let c = parse_index(
+            parts.token().ok_or_else(|| SparseError::Parse {
+                line: lineno,
+                msg: "missing column index".to_string(),
+            })?,
+            lineno,
+        )?;
+        if r == 0 || c == 0 {
+            return Err(SparseError::Parse {
+                line: lineno,
+                msg: "MatrixMarket indices are 1-based; found 0".to_string(),
+            });
+        }
+        let v = match field {
+            Field::Pattern => 1.0,
+            Field::Real | Field::Integer => {
+                let tok = parts.token().ok_or_else(|| SparseError::Parse {
+                    line: lineno,
+                    msg: "missing value".to_string(),
+                })?;
+                let v = tok.parse::<f64>().map_err(|e| SparseError::Parse {
+                    line: lineno,
+                    msg: format!("bad value {tok:?}: {e}"),
+                })?;
+                if !v.is_finite() {
+                    return Err(SparseError::Parse {
+                        line: lineno,
+                        msg: format!("non-finite value {tok:?}"),
+                    });
+                }
+                v
+            }
+        };
+        if let Some(tok) = parts.token() {
+            return Err(SparseError::Parse {
+                line: lineno,
+                msg: format!("unexpected token {tok:?} after the entry"),
+            });
+        }
+        let symmetric = symmetry == Symmetry::Symmetric;
+        if symmetric && r < c {
+            return Err(SparseError::Parse {
+                line: lineno,
+                msg: format!(
+                    "entry ({r}, {c}) lies above the diagonal; \
+                     a symmetric file stores only the lower triangle"
+                ),
+            });
+        }
+        coo.try_push(r - 1, c - 1, v)?;
+        if symmetric && r != c {
+            coo.try_push(c - 1, r - 1, v)?;
+        }
+        count.seen += 1;
+        parts.next_line();
+    }
+    Ok(count)
 }
 
 /// A cursor over the entry lines of a MatrixMarket text, which reads the
@@ -379,45 +508,67 @@ fn parse_num(tok: &str, lineno: usize) -> Result<usize> {
     })
 }
 
+/// An index token: up to 19 ASCII digits are read from the bytes
+/// directly; any other spelling goes through [`parse_num`], so the value
+/// or the error is the same either way.
+fn parse_index(tok: &str, lineno: usize) -> Result<usize> {
+    let digits = tok.as_bytes();
+    if digits.len() <= 19 && digits.iter().all(u8::is_ascii_digit) {
+        let v = digits
+            .iter()
+            .fold(0u64, |v, &d| v * 10 + u64::from(d - b'0'));
+        if let Ok(v) = usize::try_from(v) {
+            return Ok(v);
+        }
+    }
+    parse_num(tok, lineno)
+}
+
 /// Reads a SNAP-style edge list: one `u v` pair of 0-based vertex ids per
 /// line, `#` comments ignored. The graph order is `max id + 1` (or the
 /// explicit `n` when given, which also validates ids). `symmetric` adds
 /// the reverse of every edge; self-loops are kept as-is; edge values are
 /// 1.0. This is the distribution format of the SNAP collection the road
 /// and social matrices of the paper originate from.
+///
+/// Lines are read and split as MatrixMarket entry lines are: tokens are
+/// separated by ASCII whitespace only, and tokens after the pair (edge
+/// weights) are ignored.
 pub fn read_edge_list<R: Read>(
-    reader: R,
+    mut reader: R,
     n: Option<usize>,
     symmetric: bool,
 ) -> Result<CooMatrix<f64>> {
     let mut edges: Vec<(u32, u32)> = Vec::new();
     let mut max_id = 0u32;
     let mut lineno = 0usize;
-    for line in BufReader::new(reader).lines() {
-        lineno += 1;
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') || t.starts_with('%') {
-            continue;
-        }
-        let mut parts = t.split_whitespace();
-        let u: u32 = parse_num(
-            parts.next().ok_or_else(|| SparseError::Parse {
-                line: lineno,
-                msg: "missing source id".to_string(),
-            })?,
-            lineno,
-        )? as u32;
-        let v: u32 = parse_num(
-            parts.next().ok_or_else(|| SparseError::Parse {
-                line: lineno,
-                msg: "missing target id".to_string(),
-            })?,
-            lineno,
-        )? as u32;
-        max_id = max_id.max(u).max(v);
-        edges.push((u, v));
-    }
+    read_lines(&mut reader, BLOCK, |lines| {
+        utf8_lines(lines, |text| {
+            let mut line = Cursor { text, pos: 0 };
+            while !line.at_end() {
+                lineno += 1;
+                // Vertex ids are stored as `u32`.
+                let id = |tok: &str| {
+                    u32::try_from(parse_index(tok, lineno)?).map_err(|_| SparseError::Parse {
+                        line: lineno,
+                        msg: format!("vertex id {tok:?} exceeds the u32 range"),
+                    })
+                };
+                if let Some(first) = line.token().filter(|t| !t.starts_with(['#', '%'])) {
+                    let u = id(first)?;
+                    let second = line.token().ok_or_else(|| SparseError::Parse {
+                        line: lineno,
+                        msg: "missing target id".to_string(),
+                    })?;
+                    let v = id(second)?;
+                    max_id = max_id.max(u).max(v);
+                    edges.push((u, v));
+                }
+                line.next_line();
+            }
+            Ok(())
+        })
+    })?;
     let order = match n {
         Some(n) => {
             if !edges.is_empty() && max_id as usize >= n {
@@ -808,6 +959,201 @@ mod tests {
         }
     }
 
+    /// A MatrixMarket file of `lines` after a `%%MatrixMarket` banner of
+    /// `kind` and a size line declaring `nnz` entries of a `n × n` matrix.
+    fn mtx(kind: &str, n: usize, nnz: usize, lines: &[String]) -> String {
+        let mut text = format!("%%MatrixMarket matrix coordinate {kind}\n{n} {n} {nnz}\n");
+        for l in lines {
+            text.push_str(l);
+        }
+        text
+    }
+
+    /// 300 entry lines of a 50 × 50 matrix, lower triangle, with comments
+    /// and blank lines between them; every line ends with `eol`.
+    fn good_lines(eol: &str) -> Vec<String> {
+        let mut lines = Vec::new();
+        for i in 0..300usize {
+            let (r, c) = (i * 7 % 50 + 1, i * 3 % 50 + 1);
+            lines.push(format!("{} {} {}.5{eol}", r.max(c), r.min(c), i));
+            if i % 37 == 0 {
+                lines.push(format!("% note {i}{eol}"));
+                lines.push(eol.to_string());
+            }
+        }
+        lines
+    }
+
+    /// The part of a `parts`-way parse of `text` that byte `at` falls in.
+    fn part_of(text: &[u8], parts: usize, at: usize) -> usize {
+        // The body starts after the banner and the size line.
+        let eols: Vec<usize> = text
+            .iter()
+            .enumerate()
+            .filter(|&(_, &b)| b == b'\n')
+            .map(|(i, _)| i)
+            .collect();
+        let body = eols[1] + 1;
+        let cuts = line_cuts(&text[body..], parts);
+        cuts.windows(2)
+            .position(|w| (w[0]..w[1]).contains(&(at - body)))
+            .expect("inside the body")
+    }
+
+    /// `Debug` of a parse of `text` in `parts` parts, the error's variant,
+    /// line and message included.
+    fn parsed(text: &[u8], parts: usize) -> String {
+        format!("{:?}", read_matrix_market_in_parts(text, Some(parts)))
+    }
+
+    #[test]
+    fn a_bad_line_in_a_later_part_keeps_its_error_and_line() {
+        let cases: [(&str, &[u8]); 5] = [
+            ("bad value", b"3 2 1.2.3"),
+            ("non-finite value", b"3 2 -inf"),
+            ("zero index", b"0 2 1.0"),
+            ("non-UTF-8 byte", b"3 2 \xff"),
+            ("symmetric entry above the diagonal", b"2 3 1.0"),
+        ];
+        for eol in ["\n", "\r\n"] {
+            let good = good_lines(eol);
+            for (case, bad) in cases {
+                for parts in 2..=4 {
+                    // Into the second part, then into the last one.
+                    for want in [1, parts - 1] {
+                        let placed = (0..good.len()).find_map(|i| {
+                            let mut text =
+                                mtx("real symmetric", 50, good.len(), &good[..i]).into_bytes();
+                            let at = text.len();
+                            text.extend_from_slice(bad);
+                            text.extend_from_slice(eol.as_bytes());
+                            text.extend(good[i + 1..].iter().flat_map(|l| l.bytes()));
+                            (part_of(&text, parts, at) == want).then_some(text)
+                        });
+                        let text = placed.expect("a line lands in that part");
+                        let one = parsed(&text, 1);
+                        assert!(one.starts_with("Err("), "{case}: {one}");
+                        assert_eq!(
+                            parsed(&text, parts),
+                            one,
+                            "{case} in part {want} of {parts} ({eol:?})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_parses_count_every_line_before_the_last() {
+        for eol in ["\n", "\r\n"] {
+            let good = good_lines(eol);
+            let entries = good
+                .iter()
+                .filter(|l| l.starts_with(|c: char| c.is_ascii_digit()))
+                .count();
+            let whole = mtx("real general", 50, entries, &good);
+            // One entry too few declared, and one too many; a trailing
+            // comment line without its end of line.
+            for text in [
+                mtx("real general", 50, entries + 1, &good),
+                mtx("real general", 50, entries - 1, &good),
+                format!("{}% tail", mtx("real general", 50, entries + 1, &good)),
+            ] {
+                let one = parsed(text.as_bytes(), 1);
+                assert!(one.contains("Parse"), "{one}");
+                for parts in 2..=4 {
+                    assert_eq!(
+                        parsed(text.as_bytes(), parts),
+                        one,
+                        "{parts} parts ({eol:?})"
+                    );
+                }
+            }
+            let one = read_matrix_market_in_parts(whole.as_bytes(), Some(1)).unwrap();
+            assert_eq!(one.nnz(), entries);
+            for parts in 2..=4 {
+                assert_eq!(
+                    read_matrix_market_in_parts(whole.as_bytes(), Some(parts)).unwrap(),
+                    one
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn split_blocks_keep_entries_lines_and_errors() {
+        // Small blocks: lines straddle blocks, a long comment makes a block
+        // grow, and every block is parsed in parts.
+        let mut lines = good_lines("\n");
+        lines.insert(100, format!("%{}\n", "x".repeat(3000)));
+        let entries = 300;
+        let text = mtx("real symmetric", 50, entries, &lines);
+        let want = parse(&text).unwrap();
+        let bad = mtx(
+            "real symmetric",
+            50,
+            entries,
+            &[&lines[..250], &["7 9 1\n".to_string()], &lines[250..]].concat(),
+        );
+        let want_err = format!("{:?}", parse(&bad));
+        for parts in 1..=4 {
+            for block in [64, 1000, 4096] {
+                let got = read_in_blocks(text.as_bytes(), Some(parts), Some(block)).unwrap();
+                assert_eq!(got, want, "{parts} parts, {block}-byte blocks");
+                let err = format!(
+                    "{:?}",
+                    read_in_blocks(bad.as_bytes(), Some(parts), Some(block))
+                );
+                assert_eq!(err, want_err, "{parts} parts, {block}-byte blocks");
+            }
+        }
+    }
+
+    #[test]
+    fn a_duplicate_across_a_part_boundary_is_summed_in_file_order() {
+        // (2, 1) is listed in the first and the last part: 1e16 + 1.0 - 1e16
+        // is 0.0 in file order and 1.0 in any other.
+        let mut lines = vec!["2 1 1e16\n".to_string()];
+        lines.extend((0..200).map(|i| format!("{} {} 1\n", i % 40 + 3, i % 7 + 1)));
+        lines.push("2 1 1.0\n".to_string());
+        lines.extend((0..200).map(|i| format!("{} {} 1\n", i % 40 + 3, i % 9 + 1)));
+        lines.push("2 1 -1e16\n".to_string());
+        let text = mtx("real general", 50, lines.len(), &lines);
+        let last = text.rfind("2 1 -1e16").unwrap();
+        for parts in 1..=4 {
+            assert_eq!(part_of(text.as_bytes(), parts, last), parts - 1);
+            let coo = read_matrix_market_in_parts(text.as_bytes(), Some(parts)).unwrap();
+            assert_eq!(coo, parse(&text).unwrap());
+            assert_eq!(coo.to_csr().get(1, 0), Some(0.0), "{parts} parts");
+        }
+    }
+
+    #[test]
+    fn index_tokens_parse_as_parse_num_does() {
+        for tok in [
+            "0",
+            "7",
+            "0007",
+            "+2",
+            "1.0e0",
+            "3.0",
+            "18446744073709551615",
+            "9999999999999999999",
+            "99999999999999999999999",
+            "-1",
+            "1.5",
+            "x",
+            "١",
+        ] {
+            assert_eq!(
+                format!("{:?}", parse_index(tok, 9)),
+                format!("{:?}", parse_num(tok, 9)),
+                "{tok}"
+            );
+        }
+    }
+
     #[test]
     fn index_spellings_beyond_plain_digits_are_accepted() {
         let m = parse(
@@ -868,6 +1214,12 @@ mod tests {
 
     #[test]
     fn edge_list_rejects_garbage() {
+        // An id past the u32 range is an error, not a wrapped id.
+        let wide = read_edge_list(b"0 1\n4294967296 1\n".as_slice(), None, false);
+        assert!(
+            matches!(wide, Err(SparseError::Parse { line: 2, .. })),
+            "{wide:?}"
+        );
         assert!(read_edge_list(b"0\n".as_slice(), None, false).is_err());
         assert!(read_edge_list(b"a b\n".as_slice(), None, false).is_err());
         let empty = read_edge_list(b"# only comments\n".as_slice(), None, false).unwrap();

@@ -163,14 +163,16 @@ TSV_NATIVE_THREADS=4 cargo test --release -q --test conformance_dense --test pro
 # The race sanitizer watches a native launch as it does a modeled one: a
 # sanitized run on a native backend must print the modeled run's whole
 # sanitizer line (launches, accesses, violations), so a lost epoch or a
-# dropped log call fails here, not only a conflict. The first two runs'
-# launches stay under the split gate and run on the caller; the banded
-# run's row-tile launch (~710 k estimated entries at density 0.1) crosses it
-# and logs from two threads.
+# dropped log call fails here, not only a conflict. The BFS launches stay
+# on the caller; the banded run's row-tile launch (~710 k estimated
+# entries at density 0.1) crosses the split gate and logs from two
+# threads, and so do the web graph's row-tile launch and side-COO pass,
+# single and in a batch of eight, whose compaction splits too.
 for run in "spmspv gen:rmat:12 native:4" "bfs gen:grid:64 native:2" \
-    "spmspv gen:banded:32768:16 native:2 0.1"; do
-    read -r cmd input native sparsity <<<"$run"
-    flags=(--sanitize ${sparsity:+--sparsity "$sparsity"})
+    "spmspv gen:banded:32768:16 native:2 0.1" \
+    "spmspv gen:web:32768:24 native:2 0.1" "spmspv gen:web:32768:24 native:2 0.1 8"; do
+    read -r cmd input native sparsity batch <<<"$run"
+    flags=(--sanitize ${sparsity:+--sparsity "$sparsity"} ${batch:+--batch "$batch"})
     model_line=$(./target/release/tsv "$cmd" "$input" --backend model "${flags[@]}" | grep '^sanitizer: ')
     native_line=$(./target/release/tsv "$cmd" "$input" --backend "$native" "${flags[@]}" | grep '^sanitizer: ')
     echo "$model_line" | grep ' 0 violations$' >/dev/null

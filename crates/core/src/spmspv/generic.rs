@@ -739,14 +739,11 @@ where
         contribs.resize_with(n_warps, Vec::new);
     }
 
-    // The launch visits the extracted entries of x's columns: x's
-    // nonzeros at the average count per column, rounded up.
-    let work = x.nnz() * a.extra().nnz().div_ceil(a.ncols());
     let stats = ctx.launch_over_chunks(
         "spmspv/coo-pass",
         &mut contribs[..n_warps],
         1,
-        work,
+        coo_pass_work(a, x),
         |warp, chunk| {
             let bucket = &mut chunk[0];
             let start = warp.warp_id * CHUNK;
@@ -776,11 +773,34 @@ where
     stats
 }
 
-/// The work estimate of a tile-kernel launch over the lanes `xts`: the
-/// entries of the column tiles that each lane's nonzero vector tiles
-/// open, at the matrix's average entries per column tile (rounded up).
-/// It reads no tile, so it costs one multiply per lane.
-fn opened_entries<'x, T: Copy + PartialEq + Default + 'x>(
+/// The work estimate of a side-COO pass of `x`, in the launch gate's
+/// unit: the extracted entries of x's columns — x's nonzeros at the
+/// average count per column, rounded up — at `COO_WEIGHT` (8) each.
+pub fn coo_pass_work<T: Copy + PartialEq + Default>(
+    a: &TileMatrix<T>,
+    x: &SparseVector<T>,
+) -> usize {
+    COO_WEIGHT * x.nnz() * a.extra().nnz().div_ceil(a.ncols().max(1))
+}
+
+/// Tile entries' worth of work per extracted entry a COO pass visits: the
+/// launch gate's unit is a tile entry the row kernel visits, and a
+/// visited extracted entry costs far more — a column lookup, a read of
+/// the extracted rows and a buffered push, each scattered, plus its share
+/// of the merge. Timed cold (each multiply after a serial reference run)
+/// on perfbench's 32 768-row web graph, a density-0.1 pass visits ~16 k
+/// extracted entries in ~470 µs, 29 ns each, while that query's row
+/// kernel takes ~1380 µs for ~416 k estimated entries, 3.3 ns each: 8.7
+/// entries' worth, rounded down to 8. A density-0.1 lane's pass then
+/// estimates ~131 k and splits, and a density-0.01 lane's (~13 k) stays on
+/// the caller.
+const COO_WEIGHT: usize = 8;
+
+/// The work estimate of a tile-kernel launch over the lanes `xts`, in the
+/// launch gate's unit: the entries of the column tiles that each lane's
+/// nonzero vector tiles open, at the matrix's average entries per tile
+/// (rounded up). It reads no tile, so it costs one multiply per lane.
+pub fn opened_entries<'x, T: Copy + PartialEq + Default + 'x>(
     a: &TileMatrix<T>,
     xts: impl IntoIterator<Item = &'x TiledVector<T>>,
 ) -> usize {

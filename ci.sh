@@ -167,7 +167,7 @@ TSV_NATIVE_THREADS=4 cargo test --release -q --test conformance_dense --test pro
 # on the caller; the banded run's row-tile launch (~710 k estimated
 # entries at density 0.1) crosses the split gate and logs from two
 # threads, and so do the web graph's row-tile launch and side-COO pass,
-# single and in a batch of eight, whose compaction splits too.
+# single and in a batch of eight.
 for run in "spmspv gen:rmat:12 native:4" "bfs gen:grid:64 native:2" \
     "spmspv gen:banded:32768:16 native:2 0.1" \
     "spmspv gen:web:32768:24 native:2 0.1" "spmspv gen:web:32768:24 native:2 0.1 8"; do

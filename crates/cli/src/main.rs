@@ -20,11 +20,10 @@
 //! runs every launch on the calling thread; `native[:threads]` splits a
 //! launch whose estimated work reaches `tsv_simt::SPLIT_WORK` (2^16 tile
 //! entries' worth) over `threads` scoped threads (one per hardware thread
-//! without a count), and so do an SpMSpV multiply's side-COO pass, a
-//! batch's x compression and its compaction once their estimates, in the
-//! same unit, reach it. Everything smaller runs on the caller. Both count
-//! the same work, and PlusTimes results are bit-identical across backends
-//! and thread counts.
+//! without a count), and so does an SpMSpV multiply's side-COO pass once
+//! its estimate, in the same unit, reaches it. Everything smaller runs on
+//! the caller. Both count the same work, and PlusTimes results are
+//! bit-identical across backends and thread counts.
 //!
 //! `--batch K` multiplies `K` random frontiers (seeds `seed..seed+K`) as
 //! one batch, printing per-lane rows with the kernel each lane ran: the
@@ -209,11 +208,11 @@ Each subcommand accepts only its own flags, and a value flag needs its
 value. --seed, --source and --batch take unsigned integers.
 
 --backend selects how the warps run: model (default) runs every launch
-on the calling thread; native[:threads] splits a launch or a multiply's
-host phase of at least 2^16 estimated tile entries' worth of work over
-that many threads (one per hardware thread without a count) and runs
-smaller ones on the caller. Both count the same work, and PlusTimes
-results are bit-identical across both.
+on the calling thread; native[:threads] splits a launch of at least
+2^16 estimated tile entries' worth of work over that many threads (one
+per hardware thread without a count) and runs smaller ones on the
+caller. Both count the same work, and PlusTimes results are
+bit-identical across both.
 
 --batch K multiplies K random frontiers (seeds seed..seed+K) as one
 batch, printing one row per query lane with the kernel it ran: pull lanes

@@ -57,7 +57,6 @@ use crate::tile::bitvec::iter_bits;
 use crate::tile::{TileMatrix, TiledVector};
 use std::sync::Arc;
 use tsv_simt::analyze::{self, PlanReport};
-use tsv_simt::atomic::AtomicWords;
 use tsv_simt::backend::ExecBackend;
 use tsv_simt::stats::KernelStats;
 use tsv_simt::trace::{self, IterationInfo, Tracer};
@@ -136,10 +135,6 @@ pub(crate) struct BatchedSpMSpVWorkspace<T = f64> {
     /// Per-lane compacted-output staging: the driver leaves each lane's
     /// result here and the engine moves it out.
     staged: Vec<(Vec<u32>, Vec<T>)>,
-    /// Per-lane staging of a split compaction's later bands, one set per
-    /// part after the first, each buffer sized by `prepare` for every row
-    /// of its band; appended to `staged` in band order.
-    bands: Vec<Vec<(Vec<u32>, Vec<T>)>>,
     metrics: EngineMetrics,
     last_analysis: Option<PlanReport>,
 }
@@ -154,7 +149,6 @@ impl<T: Copy + PartialEq + Default + Send + Sync> BatchedSpMSpVWorkspace<T> {
             kernels: Vec::new(),
             pull: Vec::new(),
             staged: Vec::new(),
-            bands: Vec::new(),
             metrics: EngineMetrics::default(),
             last_analysis: None,
         }
@@ -168,10 +162,9 @@ impl<T: Copy + PartialEq + Default + Send + Sync> BatchedSpMSpVWorkspace<T> {
 
     /// Sizes the buffers for `a` at batch width `b`, reserving for the
     /// worst case (every tile active / touched) so no later call at this
-    /// width can regrow them, for a compaction split into at most `parts`
-    /// bands. A no-op once the geometry (matrix, width and parts) matches;
-    /// extra lanes from wider past rounds are kept warm.
-    pub(crate) fn prepare(&mut self, a: &TileMatrix<T>, b: usize, parts: usize, zero: T) {
+    /// width can regrow them. A no-op once the geometry (matrix *and*
+    /// width) matches; extra lanes from wider past rounds are kept warm.
+    pub(crate) fn prepare(&mut self, a: &TileMatrix<T>, b: usize, zero: T) {
         let nt = a.nt();
         let padded = a.m_tiles() * nt * b;
         let mut reshaped = self.scratch.prepare(a.m_tiles(), b);
@@ -198,22 +191,6 @@ impl<T: Copy + PartialEq + Default + Send + Sync> BatchedSpMSpVWorkspace<T> {
         if self.staged.len() < b {
             self.staged.resize_with(b, Default::default);
             reshaped = true;
-        }
-        // A split compaction's later bands get their buffers here, each
-        // for every row of its band, so that no part allocates and no
-        // buffer grows call by call. Buffers that grew with each batch's
-        // output left the heap fragmented: every later set-up of
-        // perfbench's web workload took ~5000 more page faults.
-        let rows = a.m_tiles().div_ceil(64).div_ceil(parts) * 64 * nt;
-        self.bands.resize_with(parts - 1, Vec::new);
-        for band in &mut self.bands {
-            if band.len() < b {
-                band.resize_with(b, Default::default);
-            }
-            for (i, v) in band.iter_mut() {
-                i.reserve(rows);
-                v.reserve(rows);
-            }
         }
         if self.kernels.capacity() < b || self.pull.capacity() < b {
             self.kernels.reserve(b);
@@ -327,8 +304,7 @@ where
         "semiring zero differs from the structural default value; \
          build the matrix with dense tiles disabled (dense_threshold > 1.0)"
     );
-    let m_words = a.m_tiles().div_ceil(64);
-    ws.prepare(a, b, ctx.max_parts(m_words), S::zero());
+    ws.prepare(a, b, S::zero());
     let BatchedSpMSpVWorkspace {
         xts,
         y,
@@ -336,28 +312,16 @@ where
         kernels,
         pull,
         staged,
-        bands,
         metrics,
         last_analysis,
     } = ws;
     *last_analysis = None;
     let xts = &mut xts[..b];
 
-    // Each part refills the tiled vectors of its own run of lanes.
     let t_compress = span_start(tracer);
-    ctx.split_phase(
-        b,
-        compress_work(xs),
-        |parts| {
-            let lanes = b.div_ceil(parts);
-            xts.chunks_mut(lanes).zip(xs.chunks(lanes))
-        },
-        |(xts, xs)| {
-            for (xt, x) in xts.iter_mut().zip(xs) {
-                xt.refill(x, S::zero());
-            }
-        },
-    );
+    for (xt, x) in xts.iter_mut().zip(xs) {
+        xt.refill(x, S::zero());
+    }
     phase_end(tracer, "spmspv/compress-x", t_compress);
     let xts = &xts[..b];
 
@@ -425,16 +389,16 @@ where
         phase_end(tracer, "spmspv/coo-pass", t_coo);
     }
 
-    // Per-lane compaction over the row tiles each lane wrote, in bands of
-    // row tiles: each part owns its band of the slab, compacts every
-    // lane's rows of it and resets it, and the parts' rows are appended
-    // per lane in band order, so each lane's indices come out sorted
-    // whatever the split.
+    // Per-lane compaction over the row tiles each lane wrote: row tiles
+    // written by any lane ascend outer, so each lane's staged indices come
+    // out sorted, and a tile's slab stays cache-resident while the lanes
+    // that wrote it are scanned. Each scanned tile is then reset whole.
     let t_compact = span_start(tracer);
+    let n = a.nrows();
+    let zero = S::zero();
     let wpl = touched.len() / b;
     // The staged buffers left with the previous outputs: size each lane's
     // once, for every row of the tiles it wrote.
-    let mut slots = 0;
     for (q, (i, v)) in staged.iter_mut().enumerate().take(b) {
         let tiles: u32 = (0..wpl)
             .map(|w| touched.load(q * wpl + w).count_ones())
@@ -443,36 +407,35 @@ where
         v.clear();
         i.reserve(tiles as usize * nt);
         v.reserve(tiles as usize * nt);
-        slots += tiles as usize * nt;
     }
-    let marks = &*touched;
-    let counts = ctx.split_phase(
-        wpl,
-        compact_work(slots),
-        |parts| {
-            // Bands of whole touched words: 64 row tiles each.
-            let words = wpl.div_ceil(parts);
-            let later = bands[..parts - 1].iter_mut().map(|o| &mut o[..b]);
-            let outs = std::iter::once(&mut staged[..b]).chain(later);
-            let band = (words * 64 * nt * b).max(1);
-            let slabs = y.chunks_mut(band).enumerate();
-            slabs.map(move |(k, slab)| (k * band / b, slab)).zip(outs)
-        },
-        |((first_row, slab), out)| {
-            compact_band(marks, slab, first_row, a.nrows(), nt, out, S::zero())
-        },
-    );
-    for out in &mut bands[..counts.len().saturating_sub(1)] {
-        for ((i, v), (bi, bv)) in staged.iter_mut().zip(out.iter_mut()).take(b) {
-            i.extend_from_slice(bi);
-            v.extend_from_slice(bv);
-            bi.clear();
-            bv.clear();
+    // A tile lane's nonzeros gather branch-free here (a tile has at most
+    // 64 rows) and are then appended in one copy: on a dense lane whether
+    // a slot is zero is close to a coin flip.
+    let mut rows = [0u32; 64];
+    let mut vals = [zero; 64];
+    for w in 0..wpl {
+        let any = (0..b).fold(0, |u, q| u | touched.load(q * wpl + w));
+        for bit in iter_bits(any) {
+            let base = (w * 64 + bit) * nt;
+            let end = (base + nt).min(n);
+            for (q, (si, sv)) in staged.iter_mut().enumerate().take(b) {
+                if touched.load(q * wpl + w) & (1 << bit) == 0 {
+                    continue;
+                }
+                let mut k = 0;
+                for r in base..end {
+                    let val = y[r * b + q];
+                    rows[k] = r as u32;
+                    vals[k] = val;
+                    k += usize::from(val != zero);
+                }
+                si.extend_from_slice(&rows[..k]);
+                sv.extend_from_slice(&vals[..k]);
+                metrics.slots_scanned += (end - base) as u64;
+            }
+            y[base * b..(base + nt) * b].fill(zero);
+            metrics.slots_reset += (nt * b) as u64;
         }
-    }
-    for (scanned, reset) in counts {
-        metrics.slots_scanned += scanned;
-        metrics.slots_reset += reset;
     }
     touched.clear();
     metrics.calls += 1;
@@ -490,96 +453,6 @@ where
         stats,
         per_query,
     })
-}
-
-/// The work estimate of compressing the lanes `xs`, in the launch gate's
-/// unit (a tile entry the row kernel visits, [`tsv_simt::SPLIT_WORK`]):
-/// their nonzeros at `COMPRESS_WEIGHT` (8) each. Compression splits across
-/// lanes, so a one-lane batch — a single multiply — never splits it.
-pub fn compress_work<T: Copy>(xs: &[SparseVector<T>]) -> usize {
-    COMPRESS_WEIGHT * xs.iter().map(SparseVector::nnz).sum::<usize>()
-}
-
-/// Tile entries' worth of work per nonzero of `x` compression: a
-/// nonzero's scattered tile mark and payload write, and its share of the
-/// padded payload fill and of resetting the previous input's tiles. Timed
-/// cold on perfbench's 32 768-row web graph (each multiply after a serial
-/// reference run), a density-0.1 lane compresses in ~91 µs, 28 ns per
-/// nonzero, against 3.3 ns per estimated entry of that query's row
-/// kernel: 8.4 entries' worth, rounded down to 8. A batch of Figure 6's
-/// four densities twice (~7.3 k nonzeros, ~58 k) then stays on the
-/// caller, where a split measured slower (~200 → ~300 µs); eight
-/// density-0.1 lanes (~210 k) split, and measured faster (~760 → ~610 µs).
-const COMPRESS_WEIGHT: usize = 8;
-
-/// The work estimate of a compaction that scans `slots` slab slots, in
-/// the launch gate's unit: `COMPACT_WEIGHT` (1) per slot.
-pub fn compact_work(slots: usize) -> usize {
-    COMPACT_WEIGHT * slots
-}
-
-/// Tile entries' worth of work per slab slot compaction scans: the slot's
-/// load, its branch-free gather and its share of the tile's reset. Timed
-/// cold on perfbench's 32 768-row web graph, compaction scans a slot in
-/// 4.3–5.1 ns, 1.3–1.5 entries' worth at the row kernel's 3.3 ns,
-/// rounded down to 1. A single multiply scans at most one slot per row
-/// (32 768 here) and stays on the caller, where a split measured slower
-/// (~140 → ~220 µs); a Figure 6 batch of eight (~123 k slots) splits,
-/// and measured faster (~630 → ~480 µs).
-const COMPACT_WEIGHT: usize = 1;
-
-/// Compacts the lanes' rows of one band of the lane-major slab and resets
-/// the row tiles it scanned. `slab` holds whole row tiles from row
-/// `first_row` (a multiple of `64 * nt`), `n` is the matrix's row count,
-/// and `out[q]` receives lane `q`'s nonzero rows and values in ascending
-/// row order. A lane is scanned only over the row tiles `touched` marks
-/// for it, and a tile is reset whole once some lane marked it. Returns the
-/// slots scanned and the slots reset.
-fn compact_band<T: Copy + PartialEq>(
-    touched: &AtomicWords,
-    slab: &mut [T],
-    first_row: usize,
-    n: usize,
-    nt: usize,
-    out: &mut [(Vec<u32>, Vec<T>)],
-    zero: T,
-) -> (u64, u64) {
-    let b = out.len();
-    let wpl = touched.len() / b;
-    let first_tile = first_row / nt;
-    let tiles = slab.len() / (nt * b);
-    let (mut scanned, mut reset) = (0, 0);
-    // A tile lane's nonzeros gather branch-free here (a tile has at most
-    // 64 rows) and are then appended in one copy: on a dense lane whether
-    // a slot is zero is close to a coin flip.
-    let mut rows = [0u32; 64];
-    let mut vals = [zero; 64];
-    for w in first_tile / 64..(first_tile + tiles).div_ceil(64) {
-        let any = (0..b).fold(0, |u, q| u | touched.load(q * wpl + w));
-        for bit in iter_bits(any) {
-            let base = (w * 64 + bit) * nt;
-            let end = (base + nt).min(n);
-            let local = base - first_row;
-            for (q, (si, sv)) in out.iter_mut().enumerate() {
-                if touched.load(q * wpl + w) & (1 << bit) == 0 {
-                    continue;
-                }
-                let mut k = 0;
-                for r in base..end {
-                    let val = slab[(r - first_row) * b + q];
-                    rows[k] = r as u32;
-                    vals[k] = val;
-                    k += usize::from(val != zero);
-                }
-                si.extend_from_slice(&rows[..k]);
-                sv.extend_from_slice(&vals[..k]);
-                scanned += (end - base) as u64;
-            }
-            slab[local * b..(local + nt) * b].fill(zero);
-            reset += (nt * b) as u64;
-        }
-    }
-    (scanned, reset)
 }
 
 /// Vertices per expansion warp in the MS-BFS kernels. Fixed (not

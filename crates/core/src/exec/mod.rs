@@ -52,9 +52,7 @@ use tsv_sparse::{CsrMatrix, SparseError, SparseVector};
 pub mod batched;
 
 pub(crate) use batched::{batched_spmspv, BatchedSpMSpVWorkspace, Caller};
-pub use batched::{
-    compact_work, compress_work, BatchExecReport, BatchQueryReport, BatchResult, BatchedBfsEngine,
-};
+pub use batched::{BatchExecReport, BatchQueryReport, BatchResult, BatchedBfsEngine};
 
 /// Opens a span: reads the clock only when `tracer` records, so with no
 /// tracer attached a phase costs one branch and no clock read.
@@ -225,7 +223,7 @@ where
     /// lane so the first `multiply` is as allocation-stable as the rest.
     pub fn with_options(a: TileMatrix<S::T>, opts: SpMSpVOptions) -> Self {
         let mut engine = Self::unprepared(a, opts);
-        engine.ws.prepare(&engine.a, 1, 1, S::zero());
+        engine.ws.prepare(&engine.a, 1, S::zero());
         engine
     }
 

@@ -776,6 +776,9 @@ where
 /// The work estimate of a side-COO pass of `x`, in the launch gate's
 /// unit: the extracted entries of x's columns — x's nonzeros at the
 /// average count per column, rounded up — at `COO_WEIGHT` (8) each.
+/// Public only so the workspace's tests can check that an input crosses
+/// the gate.
+#[doc(hidden)]
 pub fn coo_pass_work<T: Copy + PartialEq + Default>(
     a: &TileMatrix<T>,
     x: &SparseVector<T>,
@@ -800,6 +803,9 @@ const COO_WEIGHT: usize = 8;
 /// launch gate's unit: the entries of the column tiles that each lane's
 /// nonzero vector tiles open, at the matrix's average entries per tile
 /// (rounded up). It reads no tile, so it costs one multiply per lane.
+/// Public only so the workspace's tests can check that an input crosses
+/// the gate.
+#[doc(hidden)]
 pub fn opened_entries<'x, T: Copy + PartialEq + Default + 'x>(
     a: &TileMatrix<T>,
     xts: impl IntoIterator<Item = &'x TiledVector<T>>,

@@ -18,8 +18,7 @@
 //! * `native:N` — a launch whose work estimate reaches [`SPLIT_WORK`] is
 //!   cut into `N` parts of its submission order. The caller runs the first
 //!   part and `N − 1` threads of a [`std::thread::scope`] run the others.
-//!   Every smaller launch runs on the caller. A driver's host phase between
-//!   launches splits under the same gate through [`ExecCtx::split_phase`].
+//!   Every smaller launch runs on the caller.
 //!
 //! Either way the calling thread's [`crate::grid::SchedulePolicy`]
 //! permutation applies, and every warp's work counters feed the roofline
@@ -40,17 +39,15 @@ use crate::trace::Tracer;
 use crate::warp::WarpCtx;
 use std::sync::Arc;
 
-/// The work estimate at which a `native:N` launch, or a driver's host
-/// phase run through [`ExecCtx::split_phase`], splits over threads;
-/// everything below it runs on the calling thread.
+/// The work estimate at which a `native:N` launch splits over threads;
+/// every launch below it runs on the calling thread.
 ///
 /// The unit is a stored tile entry the row kernel is expected to visit,
 /// about 3.3 ns on a 2-vCPU host when the caches are cold. An SpMSpV
 /// tile launch estimates the column tiles its lanes' `x` opens at the
-/// matrix's average entries per tile. The side-COO pass, a batch's x
-/// compression and its compaction weigh what they visit by its measured
-/// cost in the same unit (`tsv_core`'s `coo_pass_work`, `compress_work`
-/// and `compact_work`), so this one constant gates them all. BFS
+/// matrix's average entries per tile. The side-COO pass weighs each
+/// extracted entry it visits by its measured cost in the same unit
+/// (`tsv_core`'s `coo_pass_work`), so this one constant gates both. BFS
 /// launches pass no estimate (0) and so never split: every BFS launch
 /// timed split ran slower than inline.
 ///
@@ -58,13 +55,12 @@ use std::sync::Arc;
 /// 100–140 µs right after a few ms of single-threaded work, as a
 /// benchmark query meets it: the spawn slows, and the second vCPU must
 /// wake to run the new thread. Two threads there give 1.4–1.8× one core,
-/// so only phases of a few hundred µs pay for a split. 2^16 (~0.2 ms of
+/// so only launches of a few hundred µs pay for a split. 2^16 (~0.2 ms of
 /// row-kernel work) splits the row-tile launches of density-0.1 and 0.01
-/// queries on 32 768-row web and banded matrices, a density-0.1 lane's
-/// COO pass and an 8-query batch's compaction, which measured faster
-/// split, and leaves the push launches of sparser queries, single
-/// multiplies' compaction and smaller phases, which measured slower split,
-/// on the caller (DESIGN §10 has the measurements).
+/// queries on 32 768-row web and banded matrices and a density-0.1 lane's
+/// COO pass, which measured faster split, and leaves the push launches of
+/// sparser queries, which measured slower split, on the caller (DESIGN §10
+/// has the measurements).
 pub const SPLIT_WORK: usize = 1 << 16;
 
 /// How a kernel launch runs its warps: all on the calling thread
@@ -288,41 +284,6 @@ impl ExecCtx {
         stats
     }
 
-    /// Runs a host phase of a driver — work on the calling thread between
-    /// launches, such as compressing a batch's inputs or compacting its
-    /// output — in parts, under the launch gate. `split` cuts the phase
-    /// into the number of parts it is given, and [`run_parts`] runs them,
-    /// the first on the caller. The count is the one a launch of `units`
-    /// warps and estimated `work` runs in: one on `model` and below
-    /// [`SPLIT_WORK`], else the backend's threads, at most `units`.
-    /// Returns the parts' results in part order.
-    ///
-    /// A phase is not a launch: it opens no sanitizer epoch and counts no
-    /// work, so nothing it does shows in `KernelStats` or the sanitizer's
-    /// counts. `work` is in the launches' unit, a tile entry's worth of
-    /// work, so one gate serves both.
-    pub fn split_phase<P, R, I>(
-        &self,
-        units: usize,
-        work: usize,
-        split: impl FnOnce(usize) -> I,
-        run: impl Fn(P) -> R + Sync,
-    ) -> Vec<R>
-    where
-        P: Send,
-        R: Send,
-        I: IntoIterator<Item = P>,
-    {
-        run_parts(split(self.backend.parts(units, work)), run)
-    }
-
-    /// The most parts [`split_phase`](Self::split_phase) cuts a phase of
-    /// `units` into on this context: the native backend's threads, at
-    /// most `units`; one on `model`. Drivers size per-part scratch by it.
-    pub fn max_parts(&self, units: usize) -> usize {
-        self.backend.parts(units, usize::MAX)
-    }
-
     /// Opens the epoch of launch `label` on the attached sanitizer, when it
     /// is enabled, and returns it for the warps to log on.
     fn open_epoch(&self, label: &str) -> Option<&Sanitizer> {
@@ -434,35 +395,6 @@ mod tests {
         for threads in launch_threads(ExecBackend::native(Some(4)), 1, SPLIT_WORK) {
             assert_eq!(threads, caller, "one warp, one part");
         }
-    }
-
-    #[test]
-    fn a_host_phase_splits_under_the_launch_gate() {
-        let caller = std::thread::current().id();
-        let phase = |backend: ExecBackend, work: usize| {
-            let ctx = on(backend);
-            let parts = ctx.max_parts(8);
-            let ran = ctx.split_phase(8, work, |n| 0..n, |p| (p, std::thread::current().id()));
-            (parts, ran)
-        };
-        let (max, ran) = phase(ExecBackend::native(Some(2)), SPLIT_WORK);
-        assert_eq!(max, 2);
-        assert_eq!(
-            ran.iter().map(|r| r.0).collect::<Vec<_>>(),
-            [0, 1],
-            "part order"
-        );
-        assert_eq!(ran[0].1, caller, "part 0 on the caller");
-        assert_ne!(ran[1].1, caller, "part 1 on a spawned thread");
-        let (_, ran) = phase(ExecBackend::native(Some(2)), SPLIT_WORK - 1);
-        assert_eq!(ran, [(0, caller)], "below the gate: one part, inline");
-        let (max, ran) = phase(ExecBackend::model(), usize::MAX);
-        assert_eq!((max, ran), (1, vec![(0, caller)]), "model: always inline");
-        assert_eq!(
-            on(ExecBackend::native(Some(4))).max_parts(3),
-            3,
-            "at most the units"
-        );
     }
 
     #[test]

@@ -1,16 +1,14 @@
 //! Host-thread splits: the one copy of the code that runs independent
 //! parts of a job on the calling thread and on scoped threads.
 //!
-//! Three kinds of work split here. A `native:N` kernel launch whose work
+//! Two kinds of work split here. A `native:N` kernel launch whose work
 //! estimate reaches [`crate::SPLIT_WORK`] runs its warps in `N` parts
-//! ([`crate::backend`]), and so does a driver's host phase, such as a
-//! batch's compaction, through [`crate::ExecCtx::split_phase`]. A set-up
-//! layer — MatrixMarket ingest, the CSR build and the tile conversions —
-//! whose input reaches [`SETUP_SPLIT`] entries runs in [`host_threads`]
-//! parts of rows or bytes ([`setup_parts`]). In each case [`run_parts`]
-//! runs the parts: the first on the caller and every other one on a
-//! thread of a [`std::thread::scope`], so no thread outlives the call
-//! that spawned it.
+//! ([`crate::backend`]). A set-up layer — MatrixMarket ingest, the CSR
+//! build and the tile conversions — whose input reaches [`SETUP_SPLIT`]
+//! entries runs in [`host_threads`] parts of rows or bytes
+//! ([`setup_parts`]). Either way [`run_parts`] runs the parts: the first
+//! on the caller and every other one on a thread of a
+//! [`std::thread::scope`], so no thread outlives the call that spawned it.
 
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};

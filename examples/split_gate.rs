@@ -1,6 +1,5 @@
 //! Split gate check: how much a `native:2` engine, which splits every
-//! launch and driver phase whose work estimate reaches
-//! [`SPLIT_WORK`], gains over a `model` engine, which splits nothing, on
+//! launch whose work estimate reaches [`SPLIT_WORK`], gains over a `model` engine, which splits nothing, on
 //! the two SpMSpV inputs of the perfbench benchmark.
 //!
 //! Both inputs are perfbench's, at its seed 7: the FEM-class band and the

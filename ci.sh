@@ -20,6 +20,42 @@ bad = sorted(
 sys.exit("registry dependencies:\n  " + "\n  ".join(bad) if bad else 0)
 '
 
+# Unsafe-code gate: every crate's lib.rs forbids unsafe code, except
+# tsv-simt's, which denies it and allows it in one module, the split's
+# helper-thread pool. Only that module may hold `unsafe`, each use with a
+# `// SAFETY:` comment right above it, and its tests run in release mode.
+python3 -c '
+import re, subprocess, sys
+files = subprocess.run(
+    ["git", "ls-files", "--cached", "--others", "--exclude-standard", "*.rs"],
+    capture_output=True, text=True, check=True,
+).stdout.split()
+pool = "crates/simt/src/split/pool.rs"
+bad = []
+for lib in ["src/lib.rs"] + sorted(f for f in files if re.fullmatch(r"crates/[^/]+/src/lib\.rs", f)):
+    want = "#![deny(unsafe_code)]" if lib == "crates/simt/src/lib.rs" else "#![forbid(unsafe_code)]"
+    if want not in open(lib).read().splitlines():
+        bad.append("%s: no %s" % (lib, want))
+for f in files:
+    lines = open(f).read().splitlines()
+    for i, line in enumerate(lines):
+        code = line.split("//")[0]
+        if "allow(unsafe_code)" in code and (f, lines[i + 1].strip()) != ("crates/simt/src/split.rs", "mod pool;"):
+            bad.append("%s:%d: allows unsafe code outside the pool module" % (f, i + 1))
+        if not re.search(r"\bunsafe\b", code):
+            continue
+        if f != pool:
+            bad.append("%s:%d: unsafe outside %s" % (f, i + 1, pool))
+            continue
+        j = i - 1
+        while j >= 0 and lines[j].strip().startswith("//") and not lines[j].strip().startswith("// SAFETY:"):
+            j -= 1
+        if j < 0 or not lines[j].strip().startswith("// SAFETY:"):
+            bad.append("%s:%d: unsafe without a // SAFETY: comment" % (f, i + 1))
+sys.exit("unsafe-code gate:\n  " + "\n  ".join(bad) if bad else 0)
+'
+cargo test --release -q -p tsv-simt split
+
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 # Rustdoc warnings (broken or ambiguous intra-doc links) fail the gate.

@@ -19,9 +19,10 @@
 //! `--backend` selects how the kernels' warps run: `model` (the default)
 //! runs every launch on the calling thread; `native[:threads]` splits a
 //! launch whose estimated work reaches `tsv_simt::SPLIT_WORK` (2^16 tile
-//! entries' worth) over `threads` scoped threads (one per hardware thread
-//! without a count), and so does an SpMSpV multiply's side-COO pass once
-//! its estimate, in the same unit, reaches it. Everything smaller runs on
+//! entries' worth) over `threads` threads, the caller and parked helper
+//! threads (one per hardware thread without a count), and so does an
+//! SpMSpV multiply's side-COO pass once its estimate, in the same unit,
+//! reaches it. Everything smaller runs on
 //! the caller. Both count the same work, and PlusTimes results are
 //! bit-identical across backends and thread counts.
 //!

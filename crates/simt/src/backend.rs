@@ -1,5 +1,5 @@
 //! The launch substrate: a grid of warps run as one unit the way a CUDA
-//! grid launch is, on the calling thread or split over scoped threads.
+//! grid launch is, on the calling thread or split over helper threads.
 //!
 //! [`ExecCtx`] holds the only public launch API. Each of its two launch
 //! shapes — a plain grid ([`ExecCtx::launch`]) and a grid over exclusive
@@ -17,8 +17,9 @@
 //! * `model` — every launch runs on the calling thread;
 //! * `native:N` — a launch whose work estimate reaches [`SPLIT_WORK`] is
 //!   cut into `N` parts of its submission order. The caller runs the first
-//!   part and `N − 1` threads of a [`std::thread::scope`] run the others.
-//!   Every smaller launch runs on the caller.
+//!   part and `N − 1` of [`crate::split`]'s process-wide helper threads,
+//!   parked between splits, run the others. Every smaller launch runs on
+//!   the caller.
 //!
 //! Either way the calling thread's [`crate::grid::SchedulePolicy`]
 //! permutation applies, and every warp's work counters feed the roofline
@@ -51,14 +52,15 @@ use std::sync::Arc;
 /// launches pass no estimate (0) and so never split: every BFS launch
 /// timed split ran slower than inline.
 ///
-/// A split costs ~35 µs on that host when splits follow each other, but
-/// 100–140 µs right after a few ms of single-threaded work, as a
-/// benchmark query meets it: the spawn slows, and the second vCPU must
-/// wake to run the new thread. Two threads there give 1.4–1.8× one core,
-/// so only launches of a few hundred µs pay for a split. 2^16 (~0.2 ms of
-/// row-kernel work) splits the row-tile launches of density-0.1 and 0.01
-/// queries on 32 768-row web and banded matrices and a density-0.1 lane's
-/// COO pass, which measured faster split, and leaves the push launches of
+/// A split runs its parts after the first on parked helper threads. An
+/// empty one costs 5–11 µs on that host when splits follow each other,
+/// and 23–35 µs right after a few ms of single-threaded work, as a
+/// benchmark query meets it, mostly the second vCPU waking to run the
+/// helper. Two threads there give 1.4–1.8× one core, so only launches of
+/// about 0.1 ms or more pay for a split. 2^16 (~0.2 ms of row-kernel work)
+/// splits the row-tile launches of density-0.1 and 0.01 queries on
+/// 32 768-row web and banded matrices and a density-0.1 lane's COO pass,
+/// which all measured faster split, and leaves the push launches of
 /// sparser queries, which measured slower split, on the caller (DESIGN §10
 /// has the measurements).
 pub const SPLIT_WORK: usize = 1 << 16;
@@ -131,8 +133,9 @@ impl ExecBackend {
             body(&mut ctx);
             ctx.stats
         };
-        // The policy is the calling thread's: spawned threads only ever
-        // see the in-order default, so it is read before the split.
+        // The policy is the calling thread's, not the helper threads'
+        // (theirs stays the in-order default), so it is read before the
+        // split.
         let order = schedule_order(n_warps);
         let parts = self.parts(n_warps, work);
         match (order, parts) {
@@ -190,7 +193,7 @@ impl ExecBackend {
 /// Runs `run` over each of `parts` through [`run_parts`] and sums the
 /// counters. A panic in any part reaches the caller with its payload.
 ///
-/// Never inlined, so the spawning code stays out of the launch loops'
+/// Never inlined, so the split's code stays out of the launch loops'
 /// inline path, which every small launch runs.
 #[inline(never)]
 fn run_split<P: Send>(

@@ -32,8 +32,10 @@ pub enum SchedulePolicy {
 
 thread_local! {
     // The policy is per *calling* thread: each launch reads it once before
-    // it splits, and the threads a split spawns only ever see the default,
-    // InOrder (so would a launch nested in a warp body; none exist today).
+    // it splits. A split's helper threads keep their thread-locals from job
+    // to job, but never set a policy themselves (`with_schedule` restores
+    // the previous one even on a panic), so they see the default, InOrder
+    // (so would a launch nested in a warp body; none exist today).
     static SCHEDULE: Cell<SchedulePolicy> = const { Cell::new(SchedulePolicy::InOrder) };
 }
 
@@ -228,7 +230,7 @@ mod tests {
         // Each part runs its share of the submission order in order, so
         // listing each thread's warps, the caller's first, gives back the
         // permutation the launch submitted, inline and split alike. A
-        // policy read on a spawned thread would submit in order.
+        // policy read on a helper thread would submit in order.
         for (threads, work) in [(1, SPLIT_WORK), (2, 0), (2, SPLIT_WORK), (3, SPLIT_WORK)] {
             let backend = ExecBackend::native(Some(threads));
             for policy in all_policies() {

@@ -6,10 +6,10 @@
 //!
 //! * [`backend`] — kernel launches: a grid of *warps* run on the calling
 //!   thread or, when a launch's work estimate reaches [`SPLIT_WORK`] on a
-//!   `native:N` backend, split over `N` scoped threads. A warp is the
-//!   paper's minimum scheduling unit (one warp per row tile / per frontier
-//!   chunk), so parallel structure and load balancing behave like the CUDA
-//!   code. [`ExecCtx`] launches them, each launch in one epoch of its
+//!   `native:N` backend, split over the caller and `N − 1` helper
+//!   threads. A warp is the paper's minimum scheduling unit (one warp per
+//!   row tile / per frontier chunk), so parallel structure and load
+//!   balancing behave like the CUDA code. [`ExecCtx`] launches them, each launch in one epoch of its
 //!   optional [`sanitize`] checker.
 //! * [`grid`] — the warp schedule a launch submits in, and the replay
 //!   harness that permutes it.
@@ -18,9 +18,11 @@
 //!   accesses on. The bodies walk their lanes in lane order, which keeps
 //!   the lock-step semantics of the CUDA code.
 //! * [`split`] — the one copy of the code that runs a job's parts on the
-//!   calling thread and on scoped threads: split launches, and the set-up
-//!   layers (ingest, CSR build, tile conversion) whose input reaches
-//!   [`SETUP_SPLIT`] entries.
+//!   calling thread and on process-wide helper threads, parked between
+//!   splits: split launches, and the set-up layers (ingest, CSR build,
+//!   tile conversion) whose input reaches [`SETUP_SPLIT`] entries. Its
+//!   helper pool holds the crate's only `unsafe` block, which is why the
+//!   crate denies unsafe code rather than forbidding it.
 //! * [`atomic`] — the `atomicOr` of the paper's Algorithms 5–7 over a
 //!   plain word vector.
 //! * [`stats`] — per-kernel work counters (global memory traffic, flops,
@@ -38,7 +40,7 @@
 //! with race-freedom and merge-determinism obligations discharged before
 //! any kernel runs.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod analyze;
 pub mod atomic;

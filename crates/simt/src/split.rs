@@ -1,5 +1,5 @@
 //! Host-thread splits: the one copy of the code that runs independent
-//! parts of a job on the calling thread and on scoped threads.
+//! parts of a job on the calling thread and on helper threads.
 //!
 //! Two kinds of work split here. A `native:N` kernel launch whose work
 //! estimate reaches [`crate::SPLIT_WORK`] runs its warps in `N` parts
@@ -7,11 +7,14 @@
 //! build and the tile conversions — whose input reaches [`SETUP_SPLIT`]
 //! entries runs in [`host_threads`] parts of rows or bytes
 //! ([`setup_parts`]). Either way [`run_parts`] runs the parts: the first
-//! on the caller and every other one on a thread of a
-//! [`std::thread::scope`], so no thread outlives the call that spawned it.
+//! on the caller and every other one on a process-wide helper thread that
+//! is parked between splits (the `pool` submodule), so a split spawns a
+//! thread only when no helper is idle.
+
+#[allow(unsafe_code)]
+mod pool;
 
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
 
 /// The host's hardware threads, read once per process: what `native`
 /// without a count splits a launch over, and how many parts a set-up
@@ -26,14 +29,18 @@ pub fn host_threads() -> usize {
 /// (ingest), the COO entries (CSR build) and the CSR entries (tile
 /// conversions). Every smaller input is set up on the calling thread.
 ///
-/// A split costs 0.1–0.2 ms on a 2-core host (the spawned threads, the
-/// caller's wait, and merging the parts' outputs), so it pays only once a
-/// layer takes a few ms. Timed one part against two on banded and web
-/// matrices of 2^12 to 2^18 entries, ingest broke even near 2^15 entries,
-/// tile conversion near 2^16 and the CSR build, the cheapest layer per
-/// entry, near 2^17. At 2^17 every layer is at least as fast split (ingest
-/// 1.6×, tiles 1.3×, CSR 1.0×) and the gains grow from there; the test
-/// corpora and the CLI's demo specs stay below it.
+/// The gate was timed when a split spawned a thread per part and cost
+/// 0.1–0.2 ms on a 2-core host (the spawns, the caller's wait, and merging
+/// the parts' outputs), so it paid only once a layer took a few ms. One
+/// part against two on banded and web matrices of 2^12 to 2^18 entries,
+/// ingest broke even near 2^15 entries, tile conversion near 2^16 and the
+/// CSR build, the cheapest layer per entry, near 2^17. At 2^17 every layer
+/// is at least as fast split (ingest 1.6×, tiles 1.3×, CSR 1.0×) and the
+/// gains grow from there; the test corpora and the CLI's demo specs stay
+/// below it. On parked helper threads a two-part CSR build or tile
+/// conversion of 4 k entries costs 7–18 µs more than one part, against
+/// 39–84 µs with spawned threads, so the gate may now sit too high; it
+/// has not been timed again.
 pub const SETUP_SPLIT: usize = 1 << 17;
 
 /// The parts a set-up layer whose input holds `entries` entries runs in:
@@ -48,10 +55,12 @@ pub fn setup_parts(entries: usize) -> usize {
 
 /// Runs `run` over each of `parts` and returns the results in part order.
 /// The first part runs on the calling thread and every other one on a
-/// scoped thread of its own; a single part spawns nothing. A panic in any
-/// part reaches the caller with its payload.
+/// helper thread of its own; a single part touches no helper. The call
+/// returns, or unwinds, only once every part has finished, so the parts
+/// may borrow the caller's data. A panic in any part reaches the caller
+/// with its payload.
 ///
-/// Never inlined, so the spawning code stays out of its callers' inline
+/// Never inlined, so the split's code stays out of its callers' inline
 /// paths, which every small launch and set-up runs.
 #[inline(never)]
 pub fn run_parts<P: Send, R: Send>(
@@ -65,42 +74,17 @@ pub fn run_parts<P: Send, R: Send>(
     if parts.peek().is_none() {
         return vec![run(first)];
     }
-    let run = &run;
-    std::thread::scope(|s| {
-        let start = Instant::now();
-        let spawned: Vec<_> = parts.map(|p| s.spawn(move || run(p))).collect();
-        let mut results = Vec::with_capacity(spawned.len() + 1);
-        results.push(run(first));
-        // The caller waits for the other parts runnable, yielding, before
-        // it blocks in `join`. A caller blocked in `join` is woken on the
-        // CPU the joined thread ran on, and moving it after every split
-        // slowed perfbench's single-threaded fem set-ups (`setup_s` ~0.15 s
-        // against ~0.11 s). The parts are equal in size, and in those runs
-        // every spawned part finished within 2.6 times the caller's part
-        // time, so the caller yields for at most twice its part time more.
-        // With more parts than hardware threads it blocks at once: the
-        // parts then wait for a CPU, and a spinning caller would hold one.
-        let spin = if spawned.len() < host_threads() {
-            2 * start.elapsed()
-        } else {
-            Duration::ZERO
-        };
-        let deadline = Instant::now() + spin;
-        for h in spawned {
-            while !h.is_finished() && Instant::now() < deadline {
-                std::thread::yield_now();
-            }
-            results.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-        }
-        results
-    })
+    pool::run_with_helpers(first, parts, &run)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use std::sync::Mutex;
+    use std::panic::catch_unwind;
+    use std::sync::mpsc::{channel, Sender};
+    use std::sync::{Barrier, Mutex};
+    use std::thread;
 
     #[test]
     fn parts_run_once_each_and_return_in_order() {
@@ -146,5 +130,116 @@ mod tests {
         .expect_err("the spawned part's panic must propagate");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("part 1 failed on purpose"), "{msg}");
+    }
+
+    /// A caught panic's message.
+    fn panic_text(err: &(dyn std::any::Any + Send)) -> String {
+        match err.downcast_ref::<&str>() {
+            Some(s) => s.to_string(),
+            None => err.downcast_ref::<String>().cloned().unwrap_or_default(),
+        }
+    }
+
+    #[test]
+    fn a_panic_in_the_caller_part_waits_for_the_helper_parts() {
+        // Part 1 borrows `log` from this frame and blocks until part 0,
+        // running on the caller, has panicked: part 0 holds the only
+        // sender of part 1's release channel, and its unwind drops it. So
+        // part 1 still runs while part 0 unwinds, and `run_parts` must not
+        // unwind into this frame before part 1 is done.
+        let log = Mutex::new(Vec::new());
+        let (started, part_1_started) = channel::<()>();
+        let (release, part_1_released) = channel::<()>();
+        let part_1_started = Mutex::new(part_1_started);
+        let part_1_released = Mutex::new(part_1_released);
+        let err = catch_unwind(|| {
+            run_parts([Some(release), None], |release: Option<Sender<()>>| {
+                if let Some(_release) = release {
+                    part_1_started.lock().unwrap().recv().unwrap();
+                    log.lock().unwrap().push("part 0 panics");
+                    panic!("part 0 failed on purpose");
+                }
+                started.send(()).unwrap();
+                assert!(part_1_released.lock().unwrap().recv().is_err());
+                log.lock().unwrap().push("part 1 done");
+            })
+        })
+        .expect_err("part 0's panic must propagate");
+        log.lock().unwrap().push("caller resumed");
+        assert!(panic_text(&*err).contains("part 0 failed on purpose"));
+        assert_eq!(
+            log.into_inner().unwrap(),
+            ["part 0 panics", "part 1 done", "caller resumed"]
+        );
+    }
+
+    #[test]
+    fn a_split_nested_in_a_part_completes() {
+        // The barrier holds both outer parts in flight, so each nested
+        // split runs while the outer split's helper is busy.
+        let barrier = Barrier::new(2);
+        let out = run_parts(0..2, |p| {
+            barrier.wait();
+            run_parts(0..2, |q| 10 * p + q)
+        });
+        assert_eq!(out, [[0, 1], [10, 11]]);
+    }
+
+    #[test]
+    fn concurrent_callers_get_their_own_results_in_order() {
+        const CALLERS: usize = 4;
+        const PARTS: usize = 3;
+        // Every part of every caller waits at one barrier, so all four
+        // splits hold their helpers at once.
+        let barrier = Barrier::new(CALLERS * PARTS);
+        let outs: Vec<Vec<(usize, usize)>> = thread::scope(|s| {
+            let callers: Vec<_> = (0..CALLERS)
+                .map(|c| {
+                    let barrier = &barrier;
+                    s.spawn(move || {
+                        run_parts(0..PARTS, |p| {
+                            barrier.wait();
+                            (c, p)
+                        })
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (c, out) in outs.into_iter().enumerate() {
+            assert_eq!(out, (0..PARTS).map(|p| (c, p)).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn a_helper_panic_leaves_the_pool_usable() {
+        for round in 0..3 {
+            let err = catch_unwind(|| {
+                run_parts(0..3, |p| {
+                    assert_ne!(p, 2, "round {round}: part {p} failed on purpose");
+                })
+            })
+            .expect_err("the helper part's panic must propagate");
+            let msg = panic_text(&*err);
+            assert!(
+                msg.contains(&format!("round {round}: part 2 failed")),
+                "{msg}"
+            );
+            assert_eq!(run_parts(0..3, |p| p * 2), [0, 2, 4]);
+        }
+    }
+
+    #[test]
+    fn helpers_are_reused_across_splits() {
+        // Other tests split at the same time and may hold some helpers,
+        // but never more than their own parts at once.
+        let helpers: HashSet<thread::ThreadId> = (0..200)
+            .map(|_| run_parts(0..2, |_| thread::current().id())[1])
+            .collect();
+        assert!(
+            helpers.len() < 64,
+            "{} helpers ran 200 splits",
+            helpers.len()
+        );
     }
 }

@@ -53,7 +53,8 @@ pub const CAT_BFS: &str = "bfs";
 
 // Worker tids start at 1; 0 is the modeled-device track. Each thread takes
 // a dense id the first time it records, so traces show "worker-1..k"
-// rather than opaque OS thread ids.
+// rather than opaque OS thread ids. A split's helper threads outlive their
+// jobs, so a helper keeps its id, and its trace track, from split to split.
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {

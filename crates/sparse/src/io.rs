@@ -257,8 +257,7 @@ fn utf8_lines<C>(bytes: &[u8], parse: impl FnOnce(&str) -> Result<C>) -> Result<
 const BLOCK: usize = 1 << 16;
 
 /// Bytes it reads at a time when it parses each block in parts: a few
-/// MiB, so that a scoped thread per part and block is paid once per ~10^5
-/// lines.
+/// MiB, so that a split per block is paid once per ~10^5 lines.
 const SPLIT_BLOCK: usize = 1 << 22;
 
 /// The entry lines of a MatrixMarket file parsed so far.

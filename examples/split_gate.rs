@@ -1,6 +1,12 @@
-//! Split gate check: how much a `native:2` engine, which splits every
-//! launch whose work estimate reaches [`SPLIT_WORK`], gains over a `model` engine, which splits nothing, on
+//! Split gate check: what an empty split costs, and how much a `native:2`
+//! engine, which splits every launch whose work estimate reaches
+//! [`SPLIT_WORK`], gains over a `model` engine, which splits nothing, on
 //! the two SpMSpV inputs of the perfbench benchmark.
+//!
+//! The empty split is [`run_parts`] over two parts that do nothing: the
+//! median of 2000 back to back ("hot"), and of 200 each timed right after
+//! ~3 ms of single-threaded random writes over 8 MiB, as a perfbench query
+//! follows its serial reference run ("after work").
 //!
 //! Both inputs are perfbench's, at its seed 7: the FEM-class band and the
 //! host-structured web graph of 32 768 rows, and a pool of 200 query
@@ -18,12 +24,13 @@
 //! faster split, and one below it as fast as `model`.
 //!
 //! Run with `cargo run --release --example split_gate` (about 10 s).
+//! Split timings depend on the host; report them with its core count.
 
 use std::time::Instant;
 use tilespmspv::core::exec::SpMSpVEngine;
 use tilespmspv::core::semiring::PlusTimes;
 use tilespmspv::core::tile::{TileConfig, TileMatrix};
-use tilespmspv::simt::{ExecBackend, SPLIT_WORK};
+use tilespmspv::simt::{host_threads, run_parts, ExecBackend, SPLIT_WORK};
 use tilespmspv::sparse::gen::{banded, random_sparse_vector, webgraph};
 use tilespmspv::sparse::{reference, CooMatrix, SparseVector};
 
@@ -53,8 +60,43 @@ fn median(mut v: Vec<f64>) -> f64 {
     v[v.len() / 2]
 }
 
+/// µs of one [`run_parts`] over two empty parts.
+fn empty_split() -> f64 {
+    let start = Instant::now();
+    std::hint::black_box(run_parts(0..2, std::hint::black_box));
+    start.elapsed().as_secs_f64() * 1e6
+}
+
+/// Random single-threaded writes over `buf` for `ms` milliseconds.
+fn random_writes(buf: &mut [u64], ms: u64) {
+    let start = Instant::now();
+    let mut state = SEED;
+    while start.elapsed().as_millis() < u128::from(ms) {
+        for _ in 0..1024 {
+            state = mix(state, 0);
+            let i = (state % buf.len() as u64) as usize;
+            buf[i] = buf[i].wrapping_add(state);
+        }
+    }
+    std::hint::black_box(buf);
+}
+
 fn main() {
     println!("split gate: SPLIT_WORK = {SPLIT_WORK} estimated tile entries");
+    let hot = median((0..2000).map(|_| empty_split()).collect());
+    let mut buf = vec![0u64; (8 << 20) / 8];
+    let after_work = median(
+        (0..200)
+            .map(|_| {
+                random_writes(&mut buf, 3);
+                empty_split()
+            })
+            .collect(),
+    );
+    println!(
+        "empty split ({} hardware threads): hot {hot:.1} µs, after work {after_work:.1} µs",
+        host_threads()
+    );
     let inputs: [(&str, CooMatrix<f64>); 2] = [
         ("spmspv-fem", banded(N, 16, 0.8, mix(SEED, 0))),
         ("spmspv-web", webgraph(N, 24.0, 0.8, 50, mix(SEED, 0))),
